@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .lang import Constant, Literal, Modality, Variable, intends, modal, unify
+from .lang import Constant, Literal, Modality, intends, modal
 from .logic import (
     GIVE,
     OWNS,
@@ -24,6 +24,7 @@ from .logic import (
     Rule,
     Theory,
     entry_canonical,
+    plan_candidates,
 )
 
 # Bridge rule labels; the rules themselves are built in and toggled per scenario.
@@ -56,7 +57,6 @@ class MessageKind(Enum):
     TELL = "tell"
     ASK = "ask"
     GIVE = "give"
-    ACCEPT = "accept"
     REJECT = "reject"
 
 
@@ -213,14 +213,8 @@ def plan(agent: AgentState, goal: Literal) -> list[Plan]:
     believed_owner = _believed_owners(agent)
 
     plans, seen = [], set()
-    for label, rule in agent.unit("B").rules():
-        if rule.is_fact:
-            continue
-        r = rule.rename(0)
-        s = unify(inner, r.head)
-        if s is None:
-            continue
-        key = rule.canonical()
+    for label, r, s in plan_candidates(agent.unit("B"), inner):
+        key = r.canonical()
         if key in seen:
             continue
         seen.add(key)
@@ -242,7 +236,7 @@ def plan(agent: AgentState, goal: Literal) -> list[Plan]:
                     transfers.append(GiveAction(owner, agent.id, res))
             elif not theory.has_fact(p):
                 unmet.append(p)
-        plans.append(Plan(goal, label, rule, preconds, tuple(unmet), tuple(transfers)))
+        plans.append(Plan(goal, label, r, preconds, tuple(unmet), tuple(transfers)))
 
     plans.sort(key=lambda p: (len(p.unmet), len(p.transfers), p.rule_label))
     return [replace(p, selected=(i == 0)) for i, p in enumerate(plans)]

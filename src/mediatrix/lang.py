@@ -51,7 +51,6 @@ class Modality(Enum):
     BEL = "bel"
     DES = "des"
     INT = "int"
-    ACT = "act"  # communication-event atoms (tell / ask / give / done)
 
 
 @dataclass(frozen=True)
@@ -155,9 +154,6 @@ class Substitution:
     def apply(self, lit: Literal) -> Literal:
         owner = self.resolve(lit.owner) if lit.owner is not None else None
         return replace(lit, owner=owner, args=tuple(self.resolve(a) for a in lit.args))
-
-    def apply_term(self, t: Term) -> Term:
-        return self.resolve(t)
 
     def items(self) -> list[tuple[str, Term]]:
         return sorted((v, self.resolve(Variable(v))) for v in self._map)

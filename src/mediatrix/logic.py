@@ -9,7 +9,6 @@ evaluated against the positive stratum of the saturation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
@@ -143,6 +142,29 @@ def entry_canonical(item: Entry):
     return ("fact", item.modality.value, item.owner, item.positive, item.predicate, item.args)
 
 
+def shape(lit: Literal) -> tuple:
+    """What `unify` compares before any term: literals of different shapes never unify."""
+    return (lit.modality, lit.positive, lit.predicate, len(lit.args), lit.owner is not None)
+
+
+_OWNERSHIP_SHAPE = (Modality.NONE, True, OWNS, 2, False)
+
+
+@dataclass
+class ShapeIndex:
+    """A theory's facts and non-fact rules grouped by literal shape, in declaration order.
+
+    Each rule carries its ordinal among the theory's non-fact rules, so a
+    search that skips the rules of other shapes still knows where in the
+    declaration order it stands.
+    """
+
+    facts: dict[tuple, list[tuple[str, Literal]]] = field(default_factory=dict)
+    heads: dict[tuple, list[tuple[int, str, Rule]]] = field(default_factory=dict)
+    bodies: dict[tuple, list[tuple[int, str, Rule]]] = field(default_factory=dict)
+    rule_count: int = 0
+
+
 class Theory:
     """Ordered labelled facts and rules plus enabled general principles."""
 
@@ -156,6 +178,7 @@ class Theory:
         self._keys: set = set()
         self.general: tuple[GeneralRule, ...] = tuple(general)
         self._fixpoint_cache: Optional[dict[Literal, "Proof"]] = None
+        self._shape_index: Optional[ShapeIndex] = None
         for label, item in entries:
             self._add(label, item)
 
@@ -190,6 +213,22 @@ class Theory:
 
     def has_fact(self, lit: Literal) -> bool:
         return entry_canonical(lit) in self._keys
+
+    def shape_index(self) -> ShapeIndex:
+        """Built on first use; a theory's entries never change after construction."""
+        if self._shape_index is None:
+            index = ShapeIndex()
+            for label, item in self._entries:
+                if isinstance(item, Literal):
+                    index.facts.setdefault(shape(item), []).append((label, item))
+                elif not item.is_fact:
+                    entry = (index.rule_count, label, item)
+                    index.rule_count += 1
+                    index.heads.setdefault(shape(item.head), []).append(entry)
+                    for key in dict.fromkeys(shape(b) for b in item.body):
+                        index.bodies.setdefault(key, []).append(entry)
+            self._shape_index = index
+        return self._shape_index
 
     def general_of(self, kind: GeneralKind) -> Optional[GeneralRule]:
         for g in self.general:
@@ -374,13 +413,26 @@ def _positive_stratum(theory: Theory) -> dict[Literal, Proof]:
 
 
 class _Search:
-    """One backward-chaining query; holds the depth flag and fresh-name tag."""
+    """One backward-chaining query; holds the depth flag and fresh-name tag.
 
-    def __init__(self, theory: Theory, depth: int):
+    Each pass over the rules advances the tag by one per non-fact rule, and
+    a rule gets the tag of its place in declaration order, looked at or not.
+    """
+
+    def __init__(self, theory: Theory):
         self.theory = theory
-        self.depth = depth
+        self.index = theory.shape_index()
         self.depth_hit = False
-        self._tag = itertools.count(1)
+        self._tag = 0
+
+    def _renamed(self, candidates: list[tuple[int, str, Rule]]) -> Iterator[tuple[str, Rule]]:
+        """The candidates, renamed apart, then the tags of the rules after the last one."""
+        passed = 0
+        for ordinal, label, rule in candidates:
+            self._tag += ordinal - passed + 1
+            passed = ordinal + 1
+            yield label, rule.rename(self._tag)
+        self._tag += self.index.rule_count - passed
 
     def solve(
         self, goal: Literal, subst: Substitution, depth: int
@@ -389,16 +441,14 @@ class _Search:
             self.depth_hit = True
             return
         goal = subst.apply(goal)
+        key = shape(goal)
 
-        for label, fact in self.theory.facts():
+        for label, fact in self.index.facts.get(key, ()):
             s = unify(goal, fact, subst)
             if s is not None:
                 yield s, frozenset([label]), (ProofStep("fact", label, fact),)
 
-        for label, rule in self.theory.rules():
-            if rule.is_fact:
-                continue
-            r = rule.rename(next(self._tag))
+        for label, r in self._renamed(self.index.heads.get(key, ())):
             s = unify(goal, r.head, subst)
             if s is None:
                 continue
@@ -421,36 +471,39 @@ class _Search:
 
     # -- built-in schemes ------------------------------------------------
 
-    def _candidate_rules(self, tag_source) -> Iterator[tuple[str, Rule, frozenset[str]]]:
-        """Declared rules plus ownership-derived transfer rules.
+    def _candidate_rules(self, inner: Literal) -> Iterator[tuple[str, Rule, frozenset[str]]]:
+        """Renamed rules with a body literal of the inner atom's shape.
 
-        Each ownership fact have(x, z) licenses the derived rule
+        Declared rules come first. Then, under the ownership principle, each
+        ownership fact have(x, z) licenses the derived rule
         give(x, Y, z) -> have(Y, z); its use charges the fact and the
-        ownership principle to the premises.
+        ownership principle to the premises. A derived rule takes two tags,
+        one for Y and one for its renaming.
         """
-        for label, rule in self.theory.rules():
-            if rule.is_fact:
-                continue
-            yield label, rule, frozenset([label])
+        for label, r in self._renamed(self.index.bodies.get(shape(inner), ())):
+            yield label, r, frozenset([label])
         ownership = self.theory.general_of(GeneralKind.OWNERSHIP)
         if ownership is None:
             return
-        for label, fact in self.theory.facts():
-            if (
-                fact.modality is Modality.NONE
-                and fact.positive
-                and fact.predicate == OWNS
-                and len(fact.args) == 2
-                and fact.is_ground()
-            ):
-                x, z = fact.args
-                recv = Variable(f"Y_{next(tag_source)}")
-                derived = Rule(
-                    label=f"{label}>{ownership.label}",
-                    head=Literal(OWNS, (recv, z)),
-                    body=(Literal(GIVE, (x, recv, z)),),
-                )
-                yield derived.label, derived, frozenset([label, ownership.label])
+        owned = [
+            (label, fact)
+            for label, fact in self.index.facts.get(_OWNERSHIP_SHAPE, ())
+            if fact.is_ground()
+        ]
+        if inner.predicate != GIVE or len(inner.args) != 3:
+            self._tag += 2 * len(owned)
+            return
+        for label, fact in owned:
+            x, z = fact.args
+            self._tag += 1
+            recv = Variable(f"Y_{self._tag}")
+            self._tag += 1
+            derived = Rule(
+                label=f"{label}>{ownership.label}",
+                head=Literal(OWNS, (recv, z)),
+                body=(Literal(GIVE, (x, recv, z)),),
+            ).rename(self._tag)
+            yield derived.label, derived, frozenset([label, ownership.label])
 
     def _solve_meta(self, goal, subst, depth):
         if goal.modality is Modality.INT and goal.positive:
@@ -470,17 +523,12 @@ class _Search:
             return
         owner = subst.resolve(goal.owner)
         inner = goal.atom()
-        for label, rule, charged in self._candidate_rules(self._tag):
-            r = rule.rename(next(self._tag))
+        for label, r, charged in self._candidate_rules(inner):
             for b in r.body:
-                if b.modality is not Modality.NONE or not b.positive:
-                    continue
                 s = unify(subst.apply(inner), b, subst)
                 if s is None:
                     continue
-                head_goal = Literal(
-                    r.head.predicate, r.head.args, True, Modality.INT, owner
-                )
+                head_goal = Literal(r.head.predicate, r.head.args, True, Modality.INT, owner)
                 for s2, prem, steps in self.solve(head_goal, s, depth - 1):
                     derived = s2.apply(goal)
                     yield (
@@ -498,11 +546,9 @@ class _Search:
         if not isinstance(owner, Constant) or owner.symbol != generosity.owner:
             return
         want = Literal(OWNS, (owner, goal.args[1]))
-        for label, fact in self.theory.facts():
+        for label, fact in self.index.facts.get(_OWNERSHIP_SHAPE, ()):
             s = unify(want, fact, subst)
-            if s is None:
-                continue
-            if fact.args[0] != owner:
+            if s is None or fact.args[0] != owner:
                 continue
             derived = s.apply(goal)
             yield (
@@ -536,11 +582,10 @@ class _Search:
         if resource.symbol not in needed:
             return
         holding = Literal(OWNS, (giver, resource))
-        have_label = None
-        for label, fact in self.theory.facts():
-            if fact == holding:
-                have_label = label
-                break
+        have_label = next(
+            (label for label, fact in self.index.facts.get(_OWNERSHIP_SHAPE, ()) if fact == holding),
+            None,
+        )
         if have_label is None:
             return
         premises = {goal_label, rule_label, have_label, parsimony.label, reduction.label}
@@ -603,12 +648,10 @@ def holdings(theory: Theory, agent: str) -> set[str]:
     return out
 
 
-def plan_candidates(theory: Theory, agent: str, goal_atom: Literal) -> list[tuple[str, Rule, Substitution]]:
-    """Rule instances concluding the agent's goal atom, in declaration order."""
+def plan_candidates(theory: Theory, goal_atom: Literal) -> list[tuple[str, Rule, Substitution]]:
+    """Rule instances concluding the goal atom, in declaration order."""
     out = []
-    for label, rule in theory.rules():
-        if rule.is_fact:
-            continue
+    for _, label, rule in theory.shape_index().heads.get(shape(goal_atom), ()):
         r = rule.rename(0)
         s = unify(goal_atom, r.head)
         if s is not None:
@@ -628,7 +671,7 @@ def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, Literal, str,
     for goal_label, goal_fact in base_goals(theory, agent):
         candidates = []
         seen = set()
-        for label, rule, s in plan_candidates(theory, agent, goal_fact.atom()):
+        for label, rule, s in plan_candidates(theory, goal_fact.atom()):
             key = rule.canonical()
             if key in seen:
                 continue
@@ -666,7 +709,7 @@ def prove(theory: Theory, goal: Literal, depth: int = DEFAULT_PROOF_DEPTH) -> Op
     schemes last. Raises DepthExceeded when the depth bound was hit and no
     proof was found.
     """
-    search = _Search(theory, depth)
+    search = _Search(theory)
     for subst, premises, steps in search.solve(goal, EMPTY_SUBSTITUTION, depth):
         return Proof(subst.apply(goal), premises, steps)
     if search.depth_hit:

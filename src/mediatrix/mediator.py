@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -44,13 +44,11 @@ from .logic import (
     DepthExceeded,
     Entry,
     GeneralRule,
-    LogicError,
-    Rule,
     Theory,
     base_goals,
     entry_canonical,
+    plan_candidates,
 )
-from .lang import unify
 
 
 class MediationError(Exception):
@@ -61,33 +59,11 @@ class IncoherentInput(MediationError):
     """Incoming knowledge contains a complementary pair."""
 
 
-class RoundLimitExceeded(MediationError):
-    pass
-
-
 @dataclass(frozen=True)
 class MediatorState:
     id: str
     theory: Theory
     resources: tuple[tuple[str, Fraction], ...] = ()
-
-    def general_theory(self) -> list[tuple[str, Rule]]:
-        """Rules with free variables, reusable across cases."""
-        return [(l, r) for l, r in self.theory.rules() if not r.is_fact and _rule_vars(r)]
-
-    def case_theory(self) -> list[tuple[str, Entry]]:
-        return [
-            (l, e)
-            for l, e in self.theory.entries()
-            if isinstance(e, Literal) or not _rule_vars(e)
-        ]
-
-
-def _rule_vars(rule: Rule) -> set[str]:
-    vs = rule.head.variables()
-    for lit in rule.body + rule.naf:
-        vs |= lit.variables()
-    return vs
 
 
 @dataclass(frozen=True)
@@ -176,14 +152,8 @@ def believed_ownership(gamma: Theory) -> dict[str, str]:
 
 def _plans_for(gamma: Theory, agent: str, goal_atom: Literal, owned: set[str]) -> list[MediatorPlan]:
     plans, seen = [], set()
-    for label, rule in gamma.rules():
-        if rule.is_fact:
-            continue
-        r = rule.rename(0)
-        s = unify(goal_atom, r.head)
-        if s is None:
-            continue
-        key = rule.canonical()
+    for label, r, s in plan_candidates(gamma, goal_atom):
+        key = r.canonical()
         if key in seen:
             continue
         seen.add(key)
@@ -225,7 +195,6 @@ def _blocked_transfers(gamma: Theory) -> set[GiveAction]:
 def create_solution(
     gamma: Theory,
     goals: dict[str, Literal],
-    ownership: dict[str, frozenset[str]],
     generous: Iterable[str] = (),
     exclude: Iterable[GiveAction] = (),
     depth: int = DEFAULT_PROOF_DEPTH,
@@ -453,7 +422,6 @@ class Mediation:
         repaired = create_solution(
             self.gamma,
             self.goals(),
-            self.world,
             generous=self._generous(),
             exclude=excluded,
             depth=self.config.proof_depth,
@@ -547,7 +515,6 @@ class Mediation:
             solution = create_solution(
                 self.gamma,
                 self.goals(),
-                self.world,
                 generous=self._generous(),
                 depth=self.config.proof_depth,
             )

@@ -104,7 +104,7 @@ def oracle_diff(
 ) -> list[str]:
     """Discrepancies between the planner and the enumerator; empty means agreement."""
     candidates = brute_force_candidates(gamma, goals, generous, exclude, depth)
-    solution = create_solution(gamma, goals, {}, generous, exclude, depth)
+    solution = create_solution(gamma, goals, generous, exclude, depth)
     diffs = []
     if solution is None:
         if candidates:

@@ -341,6 +341,92 @@ class TestProve:
         assert proof.premises == frozenset({"B.1", "B.4", "B.3", "G.2", "G.6"})
 
 
+# ----------------------------------------------------------------------
+# Shape index: only rules that can match a goal are renamed
+# ----------------------------------------------------------------------
+
+
+def _record_renames(monkeypatch) -> list[str]:
+    """Labels of the rules renamed from now on, in order."""
+    renamed = []
+    original = Rule.rename
+
+    def rename(self, tag):
+        renamed.append(self.label)
+        return original(self, tag)
+
+    monkeypatch.setattr(Rule, "rename", rename)
+    return renamed
+
+
+def _unrelated_rules(n):
+    return [(f"o{i}", rule(f"o{i}", atom(f"other{i}", "X"), atom(f"src{i}", "X"))) for i in range(n)]
+
+
+class TestShapeIndex:
+    def test_goal_renames_no_rule_of_another_predicate(self, monkeypatch):
+        theory = Theory(
+            _unrelated_rules(30)
+            + [("rp", rule("rp", atom("p", "X"), atom("q", "X"))), ("f1", atom("q", "a"))]
+        )
+        renamed = _record_renames(monkeypatch)
+        assert prove(theory, atom("q", "a")) is not None
+        assert renamed == []
+        assert prove(theory, atom("p", "a")) is not None
+        assert renamed == ["rp"]
+
+    def test_reduction_renames_only_rules_using_the_atom(self, monkeypatch):
+        theory = Theory(
+            _unrelated_rules(20)
+            + [
+                ("c1", rule("c1", atom("can", "X", "x"), atom("have", "X", "h"))),
+                ("c2", rule("c2", atom("can", "X", "y"), atom("tool", "X"))),
+                ("g1", intends("a", atom("can", "a", "x"))),
+            ]
+            + [(f"h{i}", atom("have", "b", f"r{i}")) for i in range(10)],
+            [GeneralRule("G.1", GeneralKind.OWNERSHIP), GeneralRule("G.2", GeneralKind.REDUCTION)],
+        )
+        renamed = _record_renames(monkeypatch)
+        proof = prove(theory, intends("a", atom("have", "a", "h")))
+        assert proof is not None and proof.premises == frozenset({"c1", "g1", "G.2"})
+        # neither the unrelated rules nor a give -> have rule per ownership fact
+        assert renamed == ["c1"]
+
+    def test_derived_theories_do_not_share_a_stale_index(self):
+        theory = Theory([("rp", rule("rp", atom("p", "X"), atom("q", "X")))])
+        assert prove(theory, atom("p", "a")) is None
+        grown = theory.extended([("f1", atom("q", "a"))])
+        assert prove(grown, atom("p", "a")) is not None
+        assert prove(theory, atom("p", "a")) is None
+        shrunk = grown.restricted(["rp"])
+        assert prove(shrunk, atom("p", "a")) is None
+        assert prove(grown, atom("p", "a")) is not None
+
+    def test_fresh_variable_names_follow_declaration_order(self):
+        # r3 is reached after a failed nested search below r1, so its fresh
+        # name counts every rule looked at before it, r2 and the ownership
+        # rules included
+        theory = Theory(
+            [
+                ("f1", atom("have", "a", "hammer")),
+                ("f2", atom("have", "b", "nail")),
+                ("f3", intends("a", atom("can", "a", "hang"))),
+                ("f4", atom("good", "hammer")),
+                ("r1", rule("r1", atom("can", "X", "fly"), atom("have", "X", "U"), atom("wing", "U"))),
+                ("r2", rule("r2", atom("other", "X"), atom("q", "X"))),
+                ("r3", rule("r3", atom("can", "X", "hang"), atom("have", "X", "T"), atom("tool", "T"))),
+                ("r4", rule("r4", atom("tool", "Y"), atom("good", "Y"))),
+            ],
+            [GeneralRule("G.1", GeneralKind.OWNERSHIP), GeneralRule("G.2", GeneralKind.REDUCTION)],
+        )
+        proof = prove(theory, intends("a", atom("have", "a", "W")))
+        assert str(proof.conclusion) == "int a: have(a, T_19)"
+        assert [str(s) for s in proof.steps] == [
+            "[fact f3] int a: can(a, hang)",
+            "[reduction G.2] int a: have(a, T_19)",
+        ]
+
+
 def _enumerate_small_theories():
     """Tiny fact/rule pools for exhaustive prove vs. fixpoint agreement."""
     consts = ["a", "b"]

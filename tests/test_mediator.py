@@ -49,7 +49,7 @@ class TestCreateSolution:
         }
 
     def test_case_study_three_transfers(self, gamma_full):
-        solution = create_solution(gamma_full, self.goals(), {}, generous={"mu"})
+        solution = create_solution(gamma_full, self.goals(), generous={"mu"})
         assert solution is not None
         assert set(solution.transfers) == {
             GiveAction("beta", "alpha", "nail"),
@@ -70,28 +70,27 @@ class TestCreateSolution:
             [l for l in gamma_full.labels() if l not in ("M.1", "M.2")]
             + [g.label for g in gamma_full.general]
         )
-        assert create_solution(gamma, self.goals(), {}, generous={"mu"}) is None
+        assert create_solution(gamma, self.goals(), generous={"mu"}) is None
 
     def test_blocked_transfer_excludes_assignment(self, gamma_full):
         blocked = intends("alpha", atom("give", "beta", "alpha", "nail")).complement()
         gamma = gamma_full.extended([("M.20", blocked)])
-        assert create_solution(gamma, self.goals(), {}, generous={"mu"}) is None
+        assert create_solution(gamma, self.goals(), generous={"mu"}) is None
 
     def test_explicit_exclusion(self, gamma_full):
         solution = create_solution(
             gamma_full,
             self.goals(),
-            {},
             generous={"mu"},
             exclude=[GiveAction("beta", "alpha", "nail")],
         )
         assert solution is None
 
     def test_no_goals_no_solution(self, gamma_full):
-        assert create_solution(gamma_full, {}, {}) is None
+        assert create_solution(gamma_full, {}) is None
 
     def test_feasibility_replay(self, gamma_full):
-        solution = create_solution(gamma_full, self.goals(), {}, generous={"mu"})
+        solution = create_solution(gamma_full, self.goals(), generous={"mu"})
         world = {
             "alpha": frozenset({"picture", "hammer", "screw"}),
             "beta": frozenset({"mirror", "nail"}),
