@@ -17,14 +17,18 @@ from typing import Iterable, Optional, Union
 from .lang import Constant, Literal, Modality, intends, modal
 from .logic import (
     GIVE,
+    GIVE_PLAIN,
     OWNS,
     Entry,
     GeneralKind,
     GeneralRule,
     Rule,
     Theory,
+    believed_ownership,
     entry_canonical,
-    plan_candidates,
+    ground_args,
+    holdings,
+    plan_options,
 )
 
 # Bridge rule labels; the rules themselves are built in and toggled per scenario.
@@ -192,82 +196,43 @@ def plan(agent: AgentState, goal: Literal) -> list[Plan]:
     entirely when the agent explicitly does not intend the goal
     (parsimony). Promised incoming transfers count as met preconditions.
     Selection order: fewest unmet preconditions, then fewest transfers,
-    then rule label.
+    then rule label. Unmet ownership preconditions are listed before the
+    other unmet preconditions.
     """
     inner = goal.atom()
     negated = replace(inner, positive=False)
     if agent.unit("I").has_fact(negated):
         return []
-    me = Constant(agent.id)
-    theory = agent.delta()
-    have = agent.owned() | {
-        f.args[1].symbol
-        for _, f in agent.unit("B").facts()
-        if f.modality is Modality.NONE
-        and f.positive
-        and f.predicate == OWNS
-        and f.args[:1] == (me,)
-        and isinstance(f.args[1], Constant)
-    }
+    have = agent.owned() | holdings(agent.unit("B"), agent.id)
     promised = _promises(agent)
-    believed_owner = _believed_owners(agent)
+    believed_owner = believed_ownership(agent.unit("B"))
 
-    plans, seen = [], set()
-    for label, r, s in plan_candidates(agent.unit("B"), inner):
-        key = r.canonical()
-        if key in seen:
-            continue
-        seen.add(key)
-        preconds = tuple(s.apply(b) for b in r.body)
+    plans = []
+    for o in plan_options(agent.delta(), agent.id, inner):
         unmet, transfers = [], []
-        for p in preconds:
-            if p.predicate == OWNS and len(p.args) == 2 and p.args[0] == me:
-                if not isinstance(p.args[1], Constant):
-                    continue
-                res = p.args[1].symbol
-                if res in have:
-                    continue
-                if res in promised:
-                    transfers.append(GiveAction(promised[res], agent.id, res))
-                    continue
-                unmet.append(p)
-                owner = believed_owner.get(res)
-                if owner and owner != agent.id:
-                    transfers.append(GiveAction(owner, agent.id, res))
-            elif not theory.has_fact(p):
-                unmet.append(p)
-        plans.append(Plan(goal, label, r, preconds, tuple(unmet), tuple(transfers)))
+        for res in o.needed:
+            if res in have:
+                continue
+            if res in promised:
+                transfers.append(GiveAction(promised[res], agent.id, res))
+                continue
+            unmet.append(Literal(OWNS, (Constant(agent.id), Constant(res))))
+            owner = believed_owner.get(res)
+            if owner and owner != agent.id:
+                transfers.append(GiveAction(owner, agent.id, res))
+        unmet += o.missing
+        plans.append(Plan(goal, o.label, o.rule, o.preconditions, tuple(unmet), tuple(transfers)))
 
     plans.sort(key=lambda p: (len(p.unmet), len(p.transfers), p.rule_label))
     return [replace(p, selected=(i == 0)) for i, p in enumerate(plans)]
 
 
 def _promises(agent: AgentState) -> dict[str, str]:
-    """resource -> promised giver, from incoming transfer intentions."""
-    out = {}
-    for _, fact in agent.unit("I").facts():
-        if (
-            fact.positive
-            and fact.predicate == GIVE
-            and len(fact.args) == 3
-            and fact.args[1] == Constant(agent.id)
-            and all(isinstance(a, Constant) for a in fact.args)
-        ):
-            out.setdefault(fact.args[2].symbol, fact.args[0].symbol)
-    return out
-
-
-def _believed_owners(agent: AgentState) -> dict[str, str]:
-    out = {}
-    for _, fact in agent.unit("B").facts():
-        if (
-            fact.modality is Modality.NONE
-            and fact.positive
-            and fact.predicate == OWNS
-            and len(fact.args) == 2
-            and all(isinstance(a, Constant) for a in fact.args)
-        ):
-            out.setdefault(fact.args[1].symbol, fact.args[0].symbol)
+    """resource -> promised giver, from incoming transfer intentions (first wins)."""
+    out: dict[str, str] = {}
+    for giver, receiver, res in ground_args(agent.unit("I"), GIVE_PLAIN):
+        if receiver == agent.id:
+            out.setdefault(res, giver)
     return out
 
 
@@ -332,12 +297,8 @@ def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, li
                 outbox.append(Message(MessageKind.REJECT, agent.id, msg.sender, action))
 
     if BRIDGE_REQUEST in agent.bridges:
-        for _, fact in agent.unit("I").facts():
-            if not (fact.positive and fact.predicate == GIVE and len(fact.args) == 3):
-                continue
-            if not all(isinstance(a, Constant) for a in fact.args):
-                continue
-            action = GiveAction(*(a.symbol for a in fact.args))
+        for args in ground_args(agent.unit("I"), GIVE_PLAIN):
+            action = GiveAction(*args)
             if action.receiver != agent.id or action.giver == agent.id:
                 continue
             if action in agent.asked or action.resource in agent.owned():

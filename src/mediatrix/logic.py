@@ -147,7 +147,11 @@ def shape(lit: Literal) -> tuple:
     return (lit.modality, lit.positive, lit.predicate, len(lit.args), lit.owner is not None)
 
 
-_OWNERSHIP_SHAPE = (Modality.NONE, True, OWNS, 2, False)
+# shapes of the ownership and transfer facts read by `ground_args`
+HAVE = (Modality.NONE, True, OWNS, 2, False)
+GIVE_PLAIN = (Modality.NONE, True, GIVE, 3, False)  # an intention inside an I unit
+GIVE_INTENDED = (Modality.INT, True, GIVE, 3, True)
+GIVE_REFUSED = (Modality.INT, False, GIVE, 3, True)
 
 
 @dataclass
@@ -478,7 +482,8 @@ class _Search:
         ownership fact have(x, z) licenses the derived rule
         give(x, Y, z) -> have(Y, z); its use charges the fact and the
         ownership principle to the premises. A derived rule takes two tags,
-        one for Y and one for its renaming.
+        one for Y and one for its renaming, and is built only when x and z
+        can match the giver and resource of the atom.
         """
         for label, r in self._renamed(self.index.bodies.get(shape(inner), ())):
             yield label, r, frozenset([label])
@@ -487,17 +492,19 @@ class _Search:
             return
         owned = [
             (label, fact)
-            for label, fact in self.index.facts.get(_OWNERSHIP_SHAPE, ())
+            for label, fact in self.index.facts.get(HAVE, ())
             if fact.is_ground()
         ]
         if inner.predicate != GIVE or len(inner.args) != 3:
             self._tag += 2 * len(owned)
             return
+        giver, resource = inner.args[0], inner.args[2]
         for label, fact in owned:
             x, z = fact.args
-            self._tag += 1
-            recv = Variable(f"Y_{self._tag}")
-            self._tag += 1
+            self._tag += 2
+            if not (is_var(giver) or giver == x) or not (is_var(resource) or resource == z):
+                continue
+            recv = Variable(f"Y_{self._tag - 1}")
             derived = Rule(
                 label=f"{label}>{ownership.label}",
                 head=Literal(OWNS, (recv, z)),
@@ -546,7 +553,7 @@ class _Search:
         if not isinstance(owner, Constant) or owner.symbol != generosity.owner:
             return
         want = Literal(OWNS, (owner, goal.args[1]))
-        for label, fact in self.index.facts.get(_OWNERSHIP_SHAPE, ()):
+        for label, fact in self.index.facts.get(HAVE, ()):
             s = unify(want, fact, subst)
             if s is None or fact.args[0] != owner:
                 continue
@@ -583,7 +590,7 @@ class _Search:
             return
         holding = Literal(OWNS, (giver, resource))
         have_label = next(
-            (label for label, fact in self.index.facts.get(_OWNERSHIP_SHAPE, ()) if fact == holding),
+            (label for label, fact in self.index.facts.get(HAVE, ()) if fact == holding),
             None,
         )
         if have_label is None:
@@ -616,46 +623,71 @@ def base_goals(theory: Theory, agent: str) -> list[tuple[str, Literal]]:
     return out
 
 
-def promised_resources(theory: Theory, agent: str) -> set[str]:
-    """Resources some transfer intention already routes to the agent."""
-    out = set()
-    for _, fact in theory.facts():
-        if (
-            fact.modality is Modality.INT
-            and fact.positive
-            and fact.predicate == GIVE
-            and len(fact.args) == 3
-            and isinstance(fact.args[1], Constant)
-            and fact.args[1].symbol == agent
-            and isinstance(fact.args[2], Constant)
-        ):
-            out.add(fact.args[2].symbol)
-    return out
+def ground_args(theory: Theory, key: tuple) -> list[tuple[str, ...]]:
+    """The ownership view: argument symbols of the facts of one shape, in declaration order.
+
+    `key` is HAVE, GIVE_PLAIN, GIVE_INTENDED or GIVE_REFUSED. Facts with a
+    variable argument are left out.
+    """
+    return [
+        tuple(a.symbol for a in fact.args)
+        for _, fact in theory.shape_index().facts.get(key, ())
+        if all(isinstance(a, Constant) for a in fact.args)
+    ]
 
 
 def holdings(theory: Theory, agent: str) -> set[str]:
-    out = set()
-    for _, fact in theory.facts():
-        if (
-            fact.modality is Modality.NONE
-            and fact.positive
-            and fact.predicate == OWNS
-            and len(fact.args) == 2
-            and fact.args[0] == Constant(agent)
-            and isinstance(fact.args[1], Constant)
-        ):
-            out.add(fact.args[1].symbol)
-    return out
+    return {res for owner, res in ground_args(theory, HAVE) if owner == agent}
 
 
-def plan_candidates(theory: Theory, goal_atom: Literal) -> list[tuple[str, Rule, Substitution]]:
-    """Rule instances concluding the goal atom, in declaration order."""
-    out = []
+def believed_ownership(theory: Theory) -> dict[str, str]:
+    """resource -> owner, from the theory's ownership facts (first wins)."""
+    owners: dict[str, str] = {}
+    for owner, res in ground_args(theory, HAVE):
+        owners.setdefault(res, owner)
+    return owners
+
+
+@dataclass(frozen=True)
+class PlanOption:
+    """A rule instance concluding a goal, read against one agent's ownership."""
+
+    label: str
+    rule: Rule
+    preconditions: tuple[Literal, ...]
+    needed: tuple[str, ...]  # resources of the agent's have/2 preconditions, body order
+    missing: tuple[Literal, ...]  # other preconditions that are not ground facts
+    open_resource: bool  # some have(agent, V) precondition has a variable resource
+
+    @property
+    def grounded(self) -> bool:
+        return not self.missing and not self.open_resource
+
+
+def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
+    """Rule instances concluding the goal atom, in declaration order, duplicates dropped."""
+    me = Constant(agent)
+    out, seen = [], set()
     for _, label, rule in theory.shape_index().heads.get(shape(goal_atom), ()):
         r = rule.rename(0)
         s = unify(goal_atom, r.head)
-        if s is not None:
-            out.append((label, r, s))
+        if s is None:
+            continue
+        key = r.canonical()
+        if key in seen:
+            continue
+        seen.add(key)
+        preconds = tuple(s.apply(b) for b in r.body)
+        needed, missing, open_resource = [], [], False
+        for p in preconds:
+            if p.predicate == OWNS and len(p.args) == 2 and p.args[0] == me:
+                if isinstance(p.args[1], Constant):
+                    needed.append(p.args[1].symbol)
+                else:
+                    open_resource = True
+            elif not (p.is_ground() and theory.has_fact(p)):
+                missing.append(p)
+        out.append(PlanOption(label, r, preconds, tuple(needed), tuple(missing), open_resource))
     return out
 
 
@@ -665,40 +697,16 @@ def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, Literal, str,
     Returns (goal label, goal fact, rule label, needed resources, several)
     where `needed` lists the resources the selected plan requires the agent
     to hold and `several` flags that more than one candidate plan existed.
+    A resource is met when the agent holds it or a transfer intention
+    promises it to the agent.
     """
-    have = holdings(theory, agent)
-    promised = promised_resources(theory, agent)
+    met = holdings(theory, agent)
+    met |= {res for _, to, res in ground_args(theory, GIVE_INTENDED) if to == agent}
     for goal_label, goal_fact in base_goals(theory, agent):
-        candidates = []
-        seen = set()
-        for label, rule, s in plan_candidates(theory, goal_fact.atom()):
-            key = rule.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            needed = set()
-            unmet = 0
-            grounded = True
-            for b in rule.body:
-                lit = s.apply(b)
-                if lit.predicate == OWNS and len(lit.args) == 2 and lit.args[0] == Constant(agent):
-                    if not isinstance(lit.args[1], Constant):
-                        grounded = False
-                        break
-                    res = lit.args[1].symbol
-                    needed.add(res)
-                    if res not in have and res not in promised:
-                        unmet += 1
-                elif not theory.has_fact(lit):
-                    grounded = False
-                    break
-            if grounded:
-                candidates.append((unmet, label, needed))
-        if not candidates:
-            continue
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        unmet, label, needed = candidates[0]
-        return goal_label, goal_fact, label, needed, len(candidates) > 1
+        options = [o for o in plan_options(theory, agent, goal_fact.atom()) if o.grounded]
+        if options:
+            best = min(options, key=lambda o: (sum(r not in met for r in o.needed), o.label))
+            return goal_label, goal_fact, best.label, set(best.needed), len(options) > 1
     return None
 
 

@@ -36,18 +36,20 @@ from .argumentation import (
     construct_argument,
     evaluate,
 )
-from .lang import Constant, Literal, Modality
+from .lang import Constant, Literal
 from .logic import (
     DEFAULT_PROOF_DEPTH,
     GIVE,
-    OWNS,
+    GIVE_REFUSED,
     DepthExceeded,
     Entry,
     GeneralRule,
     Theory,
     base_goals,
+    believed_ownership,
     entry_canonical,
-    plan_candidates,
+    ground_args,
+    plan_options,
 )
 
 
@@ -135,61 +137,22 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
 # ----------------------------------------------------------------------
 
 
-def believed_ownership(gamma: Theory) -> dict[str, str]:
-    """resource -> owner, from the theory's ownership facts (first wins)."""
-    owners: dict[str, str] = {}
-    for _, fact in gamma.facts():
-        if (
-            fact.modality is Modality.NONE
-            and fact.positive
-            and fact.predicate == OWNS
-            and len(fact.args) == 2
-            and all(isinstance(a, Constant) for a in fact.args)
-        ):
-            owners.setdefault(fact.args[1].symbol, fact.args[0].symbol)
-    return owners
-
-
 def _plans_for(gamma: Theory, agent: str, goal_atom: Literal, owned: set[str]) -> list[MediatorPlan]:
-    plans, seen = [], set()
-    for label, r, s in plan_candidates(gamma, goal_atom):
-        key = r.canonical()
-        if key in seen:
-            continue
-        seen.add(key)
-        preconds = tuple(s.apply(b) for b in r.body)
-        needed, unmet, grounded = [], [], True
-        for p in preconds:
-            if p.predicate == OWNS and len(p.args) == 2 and p.args[0] == Constant(agent):
-                if not isinstance(p.args[1], Constant):
-                    grounded = False
-                    break
-                res = p.args[1].symbol
-                needed.append(res)
-                if res not in owned:
-                    unmet.append(res)
-            elif not (p.is_ground() and gamma.has_fact(p)):
-                grounded = False
-                break
-        if grounded:
-            plans.append(MediatorPlan(agent, goal_atom, label, preconds, tuple(needed), tuple(unmet)))
+    plans = [
+        MediatorPlan(
+            agent, goal_atom, o.label, o.preconditions, o.needed,
+            tuple(r for r in o.needed if r not in owned),
+        )
+        for o in plan_options(gamma, agent, goal_atom)
+        if o.grounded
+    ]
     plans.sort(key=lambda p: (len(p.unmet), p.rule_label))
     return plans
 
 
 def _blocked_transfers(gamma: Theory) -> set[GiveAction]:
     """Transfers whose intention the theory explicitly negates."""
-    out = set()
-    for _, fact in gamma.facts():
-        if (
-            fact.modality is Modality.INT
-            and not fact.positive
-            and fact.predicate == GIVE
-            and len(fact.args) == 3
-            and all(isinstance(a, Constant) for a in fact.args)
-        ):
-            out.add(GiveAction(*(a.symbol for a in fact.args)))
-    return out
+    return {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}
 
 
 def create_solution(

@@ -14,14 +14,8 @@ from typing import Iterable
 
 from .agent import AgentState, GiveAction
 from .lang import Constant, Literal, Modality
-from .logic import DEFAULT_PROOF_DEPTH, DepthExceeded, Entry, Theory, prove
-from .mediator import (
-    Solution,
-    _blocked_transfers,
-    _plans_for,
-    believed_ownership,
-    create_solution,
-)
+from .logic import DEFAULT_PROOF_DEPTH, DepthExceeded, Entry, Theory, believed_ownership, prove
+from .mediator import _blocked_transfers, _plans_for, create_solution
 from .scenario import Scenario
 
 
@@ -44,7 +38,8 @@ def brute_force_candidates(
     transfer set is forced; admissibility mirrors the planner: the donor
     must exist, differ from the taker, be generous or not need the item
     for its own assigned plan, the transfer must not be blocked, and a
-    transfer-intention argument must be provable.
+    transfer-intention argument must be provable. Each distinct transfer
+    is proved at most once per call.
     """
     if not goals:
         return []
@@ -56,6 +51,16 @@ def brute_force_candidates(
     per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
     if any(not plans for plans in per_agent):
         return []
+
+    provable: dict[GiveAction, bool] = {}
+
+    def is_provable(give: GiveAction) -> bool:
+        if give not in provable:
+            try:
+                provable[give] = prove(gamma, give.intention(give.receiver), depth) is not None
+            except DepthExceeded:
+                provable[give] = False
+        return provable[give]
 
     out: list[Candidate] = []
     for assignment in itertools.product(*per_agent):
@@ -78,17 +83,7 @@ def brute_force_candidates(
                 transfers.add(give)
             if not ok:
                 break
-        if not ok:
-            continue
-        for give in transfers:
-            try:
-                if prove(gamma, give.intention(give.receiver), depth) is None:
-                    ok = False
-            except DepthExceeded:
-                ok = False
-            if not ok:
-                break
-        if ok:
+        if ok and all(is_provable(give) for give in transfers):
             out.append(
                 Candidate(tuple((p.agent, p.rule_label) for p in assignment), frozenset(transfers))
             )

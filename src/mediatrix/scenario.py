@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .agent import ALL_BRIDGES, AgentState, Strategy
+from .agent import ALL_BRIDGES, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE, AgentState, Strategy
 from .lang import Constant, Literal, Modality, Term, Variable
 from .logic import Entry, GeneralKind, GeneralRule, Rule, Theory
 from .mediator import MediationConfig, MediatorState
@@ -32,6 +32,8 @@ MODALITY_KEYWORDS = {"bel": Modality.BEL, "des": Modality.DES, "int": Modality.I
 UNIT_OF_MODALITY = {Modality.BEL: "B", Modality.DES: "D", Modality.INT: "I"}
 BRIDGE_KINDS = set(ALL_BRIDGES)
 CONFIG_KEYS = ("max_rounds", "stall_threshold", "proof_depth")
+# principles and bridges that parse but change no behaviour
+INERT_KINDS = (GeneralKind.UNICITY.value, GeneralKind.BENEVOLENCE.value, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE)
 
 
 class ParseError(Exception):
@@ -228,6 +230,7 @@ class _Parser:
                 self.expect("punct", ")")
             self.general.append(GeneralRule(label, kind, owner))
             self.expect("punct", ";")
+            self._flag_inert(t.text, label, kind_tok.text)
         elif t.text == "bridge":
             self.next()
             label = self.expect("ident").text
@@ -241,6 +244,7 @@ class _Parser:
                 )
             self.bridges.append((label, kind_tok.text))
             self.expect("punct", ";")
+            self._flag_inert(t.text, label, kind_tok.text)
         elif t.text == "config":
             self.next()
             key = self.expect("ident").text
@@ -257,6 +261,10 @@ class _Parser:
             self.expect("punct", ";")
         else:
             self.labelled_formula()
+
+    def _flag_inert(self, directive: str, label: str, kind: str) -> None:
+        if kind in INERT_KINDS:
+            self.warnings.append(f"{directive} {label} {kind}: declared but has no effect")
 
     def participant(self, ident: str) -> _Participant:
         if ident not in self.participants:

@@ -19,7 +19,7 @@ from mediatrix.agent import (
     intends_to_keep,
     plan,
 )
-from mediatrix.lang import atom, intends
+from mediatrix.lang import Modality, atom, intends, modal
 from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory
 
 GENERAL = (
@@ -93,6 +93,14 @@ class TestPlan:
         plans = plan(agent, intends("beta", atom("can", "beta", "hang_mirror")))
         assert plans[0].unmet == ()
         assert GiveAction("mu", "beta", "hammer") in plans[0].transfers
+
+    def test_modal_transfer_in_the_intention_unit_is_no_promise(self):
+        agent = make_beta()
+        belief = modal(Modality.BEL, "mu", atom("give", "mu", "beta", "hammer"))
+        agent = agent.with_unit("I", agent.unit("I").extended([("T:1", belief)]))
+        plans = plan(agent, intends("beta", atom("can", "beta", "hang_mirror")))
+        assert [str(u) for u in plans[0].unmet] == ["have(beta, hammer)"]
+        assert plans[0].transfers == ()
 
     def test_explicitly_renounced_goal_suppresses_plans(self):
         agent = make_beta()

@@ -15,17 +15,26 @@ from mediatrix.lang import (
     intends,
     unify,
 )
+from mediatrix.agent import AgentState, GiveAction, plan
 from mediatrix.logic import (
+    GIVE_INTENDED,
+    HAVE,
     DepthExceeded,
     GeneralKind,
     GeneralRule,
     InconsistentTheory,
     Rule,
     Theory,
+    believed_ownership,
     consistent,
     forward_chain,
+    ground_args,
+    holdings,
+    plan_options,
     prove,
+    select_plan,
 )
+from mediatrix.mediator import _plans_for
 
 
 def rule(label, head, *body, naf=()):
@@ -402,6 +411,21 @@ class TestShapeIndex:
         assert prove(shrunk, atom("p", "a")) is None
         assert prove(grown, atom("p", "a")) is not None
 
+    def test_transfer_goal_builds_only_the_matching_ownership_rule(self, monkeypatch):
+        theory = Theory(
+            [(f"h{i}", atom("have", "b", f"r{i}")) for i in range(6)]
+            + [
+                ("c1", rule("c1", atom("can", "X", "go"), atom("have", "X", "r4"))),
+                ("g1", intends("a", atom("can", "a", "go"))),
+            ],
+            [GeneralRule("G.1", GeneralKind.OWNERSHIP), GeneralRule("G.2", GeneralKind.REDUCTION)],
+        )
+        renamed = _record_renames(monkeypatch)
+        proof = prove(theory, intends("a", atom("give", "b", "a", "r4")))
+        assert proof is not None and {"h4", "G.1", "c1"} <= proof.premises
+        # one give -> have rule, from the one fact whose owner and resource match
+        assert [label for label in renamed if label.endswith(">G.1")] == ["h4>G.1"]
+
     def test_fresh_variable_names_follow_declaration_order(self):
         # r3 is reached after a failed nested search below r1, so its fresh
         # name counts every rule looked at before it, r2 and the ownership
@@ -425,6 +449,98 @@ class TestShapeIndex:
             "[fact f3] int a: can(a, hang)",
             "[reduction G.2] int a: have(a, T_19)",
         ]
+
+
+GOAL = ("g1", intends("a", atom("can", "a", "go")))
+
+
+def _agent(beliefs, intentions=()) -> AgentState:
+    return AgentState(
+        id="a",
+        units={
+            "B": Theory(beliefs),
+            "D": Theory(),
+            "I": Theory([("g1", atom("can", "a", "go"))] + list(intentions)),
+        },
+        resources=(),
+        goal_labels=("g1",),
+    )
+
+
+class TestOwnershipView:
+    def test_first_owner_wins_but_every_holding_counts(self):
+        theory = Theory(
+            [
+                ("f1", atom("have", "a", "r")),
+                ("f2", atom("have", "b", "r")),
+                ("f3", atom("have", "b", "Y")),
+            ]
+        )
+        assert ground_args(theory, HAVE) == [("a", "r"), ("b", "r")]
+        assert believed_ownership(theory) == {"r": "a"}
+        assert holdings(theory, "a") == {"r"}
+        assert holdings(theory, "b") == {"r"}
+
+    def test_transfer_intention_with_a_variable_giver_is_no_promise(self):
+        base = [
+            ("c0", rule("c0", atom("can", "X", "go"), atom("have", "X", "s"))),
+            ("c1", rule("c1", atom("can", "X", "go"), atom("have", "X", "r"))),
+            GOAL,
+        ]
+        promised = Theory(base + [("p1", intends("a", atom("give", "b", "a", "r")))])
+        assert select_plan(promised, "a")[2] == "c1"
+        unknown_giver = Theory(base + [("p1", intends("a", atom("give", "Y", "a", "r")))])
+        assert ground_args(unknown_giver, GIVE_INTENDED) == []
+        assert select_plan(unknown_giver, "a")[2] == "c0"
+
+
+class TestPlanOptions:
+    def test_duplicated_ownership_precondition_counts_twice(self):
+        beliefs = [
+            ("d1", rule("d1", atom("can", "X", "go"), atom("have", "X", "r"), atom("have", "X", "r"))),
+            ("d2", rule("d2", atom("can", "X", "go"), atom("have", "X", "s"))),
+        ]
+        theory = Theory(beliefs + [GOAL])
+        goal = atom("can", "a", "go")
+        assert [o.needed for o in plan_options(theory, "a", goal)] == [("r", "r"), ("s",)]
+        assert [(p.rule_label, p.unmet) for p in _plans_for(theory, "a", goal, set())] == [
+            ("d2", ("s",)),
+            ("d1", ("r", "r")),
+        ]
+        assert select_plan(theory, "a")[2] == "d2"
+        plans = plan(_agent(beliefs), intends("a", goal))
+        assert [(p.rule_label, len(p.unmet)) for p in plans] == [("d2", 1), ("d1", 2)]
+
+    def test_missing_precondition_is_unmet_for_the_agent_and_drops_the_plan_for_others(self):
+        beliefs = [
+            ("p1", rule("p1", atom("can", "X", "go"), atom("tool", "X"))),
+            ("p2", rule("p2", atom("can", "X", "go"), atom("have", "X", "r"))),
+            ("f1", atom("have", "b", "r")),
+        ]
+        theory = Theory(beliefs + [GOAL])
+        goal = atom("can", "a", "go")
+        options = plan_options(theory, "a", goal)
+        assert [(o.label, o.missing, o.grounded) for o in options] == [
+            ("p1", (atom("tool", "a"),), False),
+            ("p2", (), True),
+        ]
+        assert [p.rule_label for p in _plans_for(theory, "a", goal, set())] == ["p2"]
+        assert select_plan(theory, "a")[2:] == ("p2", {"r"}, False)
+        # the agent ranks by unmet, then transfers: tool(a) needs no transfer
+        plans = plan(_agent(beliefs), intends("a", goal))
+        assert [(p.rule_label, [str(u) for u in p.unmet], p.selected) for p in plans] == [
+            ("p1", ["tool(a)"], True),
+            ("p2", ["have(a, r)"], False),
+        ]
+        assert plans[1].transfers == (GiveAction("b", "a", "r"),)
+
+    def test_variable_resource_sets_the_flag(self):
+        theory = Theory(
+            [("v1", rule("v1", atom("can", "X", "go"), atom("have", "X", "T"), atom("tool", "T"))), GOAL]
+        )
+        (option,) = plan_options(theory, "a", atom("can", "a", "go"))
+        assert option.open_resource and option.needed == () and not option.grounded
+        assert select_plan(theory, "a") is None
 
 
 def _enumerate_small_theories():

@@ -15,6 +15,9 @@ from mediatrix.mediator import (
     solution_feasible,
 )
 
+from mediatrix import oracle
+from mediatrix.logic import prove
+
 from conftest import GENERAL, load_scenario
 
 
@@ -180,3 +183,18 @@ class TestMediate:
         s = load_scenario("home_improvement")
         with pytest.raises(ValueError):
             Mediation([s.agents[0]], s.mediator)
+
+
+def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
+    gamma, goals, generous = oracle.full_disclosure(load_scenario("two_donor"))
+    proved = []
+
+    def counting(theory, goal, depth):
+        proved.append(str(goal))
+        return prove(theory, goal, depth)
+
+    monkeypatch.setattr(oracle, "prove", counting)
+    candidates = oracle.brute_force_candidates(gamma, goals, generous)
+    transfers = {t for c in candidates for t in c.transfers}
+    assert len(candidates) > len(transfers) > 0
+    assert sorted(proved) == sorted(str(t.intention(t.receiver)) for t in transfers)

@@ -70,6 +70,16 @@ class TestParse:
         assert any("re-sorted" in w for w in s.warnings)
         assert [r[0] for r in s.agents[0].resources] == ["dust", "gold"]
 
+    def test_inert_declarations_warn(self, home_improvement):
+        inert = [w for w in home_improvement.warnings if "declared but has no effect" in w]
+        assert inert == [
+            "general G.4 unicity: declared but has no effect",
+            "general G.5 benevolence: declared but has no effect",
+            "bridge R.1 advice: declared but has no effect",
+            "bridge R.2 advice_rule: declared but has no effect",
+        ]
+        assert not any("no effect" in w for w in parse_scenario(MINIMAL).warnings)
+
     def test_range_restriction_enforced(self):
         with pytest.raises(ValidationError, match="range-restricted"):
             parse_scenario(MINIMAL + "[a.9] bel a: can(X, Y) :- have(X, pen).\n")
