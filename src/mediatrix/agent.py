@@ -9,12 +9,12 @@ unneeded items are granted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
-from .lang import Constant, Literal, Modality, intends, modal
+from .lang import Constant, Literal, Modality, intends
 from .logic import (
     GIVE,
     GIVE_PLAIN,

@@ -247,7 +247,9 @@ class Theory:
 
     def extended(self, items: Iterable[tuple[str, Entry]]) -> "Theory":
         """New theory with the items appended; duplicates (up to renaming) skipped."""
-        t = Theory(self._entries, self.general)
+        # the parent's entries were checked and keyed when it was built; `_add` mutates, so copy
+        t = Theory((), self.general)
+        t._entries, t._by_label, t._keys = list(self._entries), dict(self._by_label), set(self._keys)
         for label, item in items:
             if t.contains(item):
                 continue

@@ -30,7 +30,6 @@ from .agent import (
 )
 from .argumentation import (
     Argument,
-    Decision,
     SupportItem,
     Verdict,
     construct_argument,
@@ -120,15 +119,14 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
     facts are never stored, so the result is consistent at the base level.
     """
     incoming_facts = [e for _, e in incoming if isinstance(e, Literal)]
+    last = {fact: i for i, fact in enumerate(incoming_facts)}
+    complements = set()
     for i, a in enumerate(incoming_facts):
-        for b in incoming_facts[i + 1 :]:
-            if a == b.complement():
-                raise IncoherentInput(f"incoming knowledge asserts both {a} and {b}")
-    doomed = set()
-    for label, fact in gamma.facts():
-        if any(fact == inc.complement() for inc in incoming_facts):
-            doomed.add(label)
-    kept = [(l, e) for l, e in gamma.entries() if l not in doomed]
+        b = a.complement()
+        if last.get(b, -1) > i:
+            raise IncoherentInput(f"incoming knowledge asserts both {a} and {b}")
+        complements.add(b)
+    kept = [(l, e) for l, e in gamma.entries() if not (isinstance(e, Literal) and e in complements)]
     return Theory(kept, gamma.general).extended(incoming)
 
 

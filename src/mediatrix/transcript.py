@@ -7,7 +7,7 @@ round-trips exactly. The text form is a human-readable round narrative.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 SCHEMA_VERSION = 1

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from mediatrix import logic
 from mediatrix.lang import (
     Constant,
     EMPTY_SUBSTITUTION,
@@ -604,6 +605,39 @@ def test_theory_extended_dedups_up_to_renaming():
     r2 = rule("r2", atom("q", "Z"), atom("p", "Z"))
     theory = Theory([("r1", r1)]).extended([("r2", r2)])
     assert len(theory) == 1
+
+
+class TestExtended:
+    """`extended` copies the parent's checked entries and keys; only new items are checked."""
+
+    def theory(self):
+        guarded = rule("r", atom("q", "X"), atom("p", "X"), naf=(atom("s", "X"),))
+        return Theory([(f"f{i}", atom("p", f"c{i}")) for i in range(99)] + [("r", guarded)])
+
+    def test_keys_only_the_new_items(self, monkeypatch):
+        theory = self.theory()
+        keyed = []
+        original = logic.entry_canonical
+        monkeypatch.setattr(logic, "entry_canonical", lambda item: keyed.append(item) or original(item))
+        theory.extended([("new", atom("p", "new"))])
+        assert len(keyed) <= 2
+
+    def test_parent_is_unchanged_and_nothing_stale_is_carried(self):
+        theory = self.theory()
+        index = theory.shape_index()
+        assert prove(theory, atom("q", "c1")) is not None  # fills the parent's fixpoint cache
+        labels, size, new = theory.labels(), len(theory), atom("p", "new")
+        grown = theory.extended([("new", new), ("f1", atom("s", "c1"))])
+        assert (theory.labels(), len(theory), theory.contains(new)) == (labels, size, False)
+        assert grown.labels()[-2:] == ["new", "f1~2"]
+        assert grown.shape_index() is not index
+        assert prove(grown, new) is not None and prove(grown, atom("q", "new")) is not None
+        assert prove(grown, atom("q", "c1")) is None
+        assert prove(theory, atom("q", "c1")) is not None
+
+    def test_new_items_are_still_checked(self):
+        with pytest.raises(ValueError):
+            self.theory().extended([("bad", rule("bad", atom("p", "X", "Y"), atom("p", "X")))])
 
 
 def test_prove_deterministic(gamma_full):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from mediatrix.agent import GiveAction
-from mediatrix.lang import atom, intends
+from mediatrix.lang import Literal, atom, intends
 from mediatrix.logic import Theory
 from mediatrix.mediator import (
     IncoherentInput,
@@ -42,6 +42,23 @@ class TestRevise:
         fact = atom("have", "alpha", "screw")
         with pytest.raises(IncoherentInput):
             revise(gamma, [("a", fact), ("b", fact.complement())])
+
+    def test_incoherence_names_the_first_fact_with_a_later_complement(self):
+        p, q = atom("p"), atom("q")
+        batch = [("a", p), ("b", q), ("c", q.complement()), ("d", p.complement())]
+        with pytest.raises(IncoherentInput) as raised:
+            revise(Theory(), batch)
+        assert str(raised.value) == "incoming knowledge asserts both p() and ~p()"
+
+    def test_complements_each_incoming_fact_a_bounded_number_of_times(self, monkeypatch):
+        calls = []
+        original = Literal.complement
+        monkeypatch.setattr(Literal, "complement", lambda self: calls.append(self) or original(self))
+        gamma = Theory([(f"M.{i}", atom("have", "mu", f"r{i}")) for i in range(200)])
+        incoming = [(f"A.{i}", atom("have", "alpha", f"s{i}")) for i in range(200)]
+        out = revise(gamma, incoming)
+        assert len(out) == 400
+        assert len(calls) <= 2 * len(incoming)
 
 
 class TestCreateSolution:
