@@ -312,12 +312,12 @@ def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, li
 
 def _absorb_tell(agent: AgentState, msg: Message) -> AgentState:
     items, conclusion = msg.payload if isinstance(msg.payload, tuple) else ((), msg.payload)
-    additions_b: list[Entry] = []
+    labelled: list[tuple[str, Entry]] = []
     for item in items:
-        additions_b.append(item)
-    for item in additions_b:
         agent, label = agent._next_label("T:")
-        agent = agent.with_unit("B", agent.unit("B").extended([(label, item)]))
+        labelled.append((label, item))
+    if labelled:
+        agent = agent.with_unit("B", agent.unit("B").extended(labelled))
     if conclusion is not None:
         if (
             conclusion.modality is Modality.INT
@@ -366,14 +366,15 @@ def _apply_transfer(agent: AgentState, action: GiveAction) -> AgentState:
 
 def _propagate_realism(agent: AgentState) -> AgentState:
     """Intentions imply desires imply beliefs; disbelief flows back down."""
-    for source, target in (("I", "D"), ("D", "B")):
-        for label, fact in agent.unit(source).facts():
-            if fact.positive and not agent.unit(target).has_fact(fact):
-                agent = agent.with_unit(target, agent.unit(target).extended([(f"r:{source}:{label}", fact)]))
-    for source, target in (("B", "D"), ("D", "I")):
-        for label, fact in agent.unit(source).facts():
-            if not fact.positive and not agent.unit(target).has_fact(fact):
-                agent = agent.with_unit(target, agent.unit(target).extended([(f"r:{source}:{label}", fact)]))
+    for source, target, positive in (("I", "D", True), ("D", "B", True), ("B", "D", False), ("D", "I", False)):
+        have = agent.unit(target)
+        new = [
+            (f"r:{source}:{label}", fact)
+            for label, fact in agent.unit(source).facts()
+            if fact.positive == positive and not have.has_fact(fact)
+        ]
+        if new:
+            agent = agent.with_unit(target, have.extended(new))
     for name in UNITS:
         for _, fact in agent.unit(name).facts():
             if agent.unit(name).has_fact(fact.complement()):

@@ -70,7 +70,7 @@ class Literal:
 
     def complement(self) -> "Literal":
         """Classical complement: flips polarity only."""
-        return replace(self, positive=not self.positive)
+        return Literal(self.predicate, self.args, not self.positive, self.modality, self.owner)
 
     def atom(self) -> "Literal":
         """The embedded plain atom, stripped of modality and polarity."""
@@ -135,8 +135,10 @@ class Substitution:
         self._map: dict[str, Term] = dict(bindings or {})
 
     def resolve(self, t: Term) -> Term:
+        if not isinstance(t, Variable) or t.name not in self._map:
+            return t
         seen = set()
-        while is_var(t) and t.name in self._map:
+        while isinstance(t, Variable) and t.name in self._map:
             if t.name in seen:  # defensive; bind() never creates cycles
                 break
             seen.add(t.name)
@@ -153,7 +155,8 @@ class Substitution:
 
     def apply(self, lit: Literal) -> Literal:
         owner = self.resolve(lit.owner) if lit.owner is not None else None
-        return replace(lit, owner=owner, args=tuple(self.resolve(a) for a in lit.args))
+        args = tuple(self.resolve(a) for a in lit.args)
+        return Literal(lit.predicate, args, lit.positive, lit.modality, owner)
 
     def items(self) -> list[tuple[str, Term]]:
         return sorted((v, self.resolve(Variable(v))) for v in self._map)

@@ -9,7 +9,7 @@ evaluated against the positive stratum of the saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
@@ -47,13 +47,16 @@ class DepthExceeded(LogicError):
     """Proof search hit the depth bound before finding a proof."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     label: str
     head: Literal
     body: tuple[Literal, ...] = ()
     naf: tuple[Literal, ...] = ()  # absence conditions, negation-as-failure
     unit: Optional[str] = None
+    # filled on first use by `rename` and `canonical`; slots keep them out of a per-rule __dict__
+    _variables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _canonical: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_fact(self) -> bool:
@@ -68,19 +71,19 @@ class Rule:
         return self.head.variables() <= bound
 
     def rename(self, tag: int) -> "Rule":
-        vs = self.head.variables()
-        for lit in self.body + self.naf:
-            vs |= lit.variables()
-        s = Substitution({v: Variable(f"{v}_{tag}") for v in sorted(vs)})
-        return replace(
-            self,
-            head=s.apply(self.head),
-            body=tuple(s.apply(b) for b in self.body),
-            naf=tuple(s.apply(n) for n in self.naf),
-        )
+        if self._variables is None:
+            vs = self.head.variables()
+            for lit in self.body + self.naf:
+                vs |= lit.variables()
+            object.__setattr__(self, "_variables", tuple(sorted(vs)))
+        s = Substitution({v: Variable(f"{v}_{tag}") for v in self._variables})
+        body, naf = tuple(s.apply(b) for b in self.body), tuple(s.apply(n) for n in self.naf)
+        return Rule(self.label, s.apply(self.head), body, naf, self.unit)
 
     def canonical(self) -> tuple:
-        """Key equal for rules identical up to variable renaming."""
+        """Key equal for rules identical up to variable renaming; computed once per rule."""
+        if self._canonical is not None:
+            return self._canonical
         names: dict[str, str] = {}
 
         def canon_term(t: Term):
@@ -98,11 +101,13 @@ class Rule:
                 tuple(canon_term(a) for a in lit.args),
             )
 
-        return (
+        key = (
             canon_lit(self.head),
             tuple(canon_lit(b) for b in self.body),
             tuple(canon_lit(n) for n in self.naf),
         )
+        object.__setattr__(self, "_canonical", key)
+        return key
 
     def __str__(self) -> str:
         if self.is_fact:
@@ -139,7 +144,7 @@ Entry = Union[Literal, Rule]
 def entry_canonical(item: Entry):
     if isinstance(item, Rule):
         return ("rule",) + item.canonical()
-    return ("fact", item.modality.value, item.owner, item.positive, item.predicate, item.args)
+    return item
 
 
 def shape(lit: Literal) -> tuple:
@@ -216,7 +221,7 @@ class Theory:
         return entry_canonical(item) in self._keys
 
     def has_fact(self, lit: Literal) -> bool:
-        return entry_canonical(lit) in self._keys
+        return lit in self._keys
 
     def shape_index(self) -> ShapeIndex:
         """Built on first use; a theory's entries never change after construction."""

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediatrix import logic
 from mediatrix.lang import (
     Constant,
     EMPTY_SUBSTITUTION,
     Literal,
+    Modality,
     Substitution,
     Variable,
     apply,
@@ -638,6 +642,106 @@ class TestExtended:
     def test_new_items_are_still_checked(self):
         with pytest.raises(ValueError):
             self.theory().extended([("bad", rule("bad", atom("p", "X", "Y"), atom("p", "X")))])
+
+
+# ----------------------------------------------------------------------
+# Term layer: direct construction and per-rule keys
+# ----------------------------------------------------------------------
+
+
+TERMS = st.sampled_from([Constant("a"), Constant("b"), Variable("X"), Variable("Y"), Variable("Z")])
+PLAIN = st.builds(
+    lambda p, args, positive: Literal(p, tuple(args), positive),
+    st.sampled_from(["p", "q"]),
+    st.lists(TERMS, max_size=3),
+    st.booleans(),
+)
+LITERALS = st.one_of(
+    PLAIN,
+    st.builds(
+        lambda m, owner, lit: replace(lit, modality=m, owner=owner),
+        st.sampled_from([Modality.BEL, Modality.DES, Modality.INT]),
+        TERMS,
+        PLAIN,
+    ),
+)
+RULES = st.builds(
+    lambda head, body, naf, unit: Rule("r", head, tuple(body), tuple(naf), unit),
+    LITERALS,
+    st.lists(LITERALS, max_size=3),
+    st.lists(LITERALS, max_size=2),
+    st.sampled_from([None, "B"]),
+)
+
+
+def _replace_apply(s: Substitution, lit: Literal) -> Literal:
+    owner = s.resolve(lit.owner) if lit.owner is not None else None
+    return replace(lit, owner=owner, args=tuple(s.resolve(a) for a in lit.args))
+
+
+def _replace_rename(r: Rule, tag: int) -> Rule:
+    vs = r.head.variables()
+    for lit in r.body + r.naf:
+        vs |= lit.variables()
+    s = Substitution({v: Variable(f"{v}_{tag}") for v in sorted(vs)})
+    return replace(
+        r,
+        head=_replace_apply(s, r.head),
+        body=tuple(_replace_apply(s, b) for b in r.body),
+        naf=tuple(_replace_apply(s, n) for n in r.naf),
+    )
+
+
+@settings(max_examples=200)
+@given(LITERALS, st.dictionaries(st.sampled_from(["X", "Y", "Z"]), TERMS))
+def test_complement_and_apply_match_replace(lit, bindings):
+    s = Substitution(bindings)
+    assert lit.complement() == replace(lit, positive=not lit.positive)
+    assert s.apply(lit) == _replace_apply(s, lit)
+
+
+@settings(max_examples=200)
+@given(RULES, st.integers(min_value=0, max_value=50))
+def test_rename_matches_replace(r, tag):
+    assert r.rename(tag) == _replace_rename(r, tag)
+    assert r.rename(tag).canonical() == r.canonical()
+
+
+class TestRuleKeys:
+    def test_canonical_is_computed_once(self):
+        r = rule("r", atom("q", "X"), atom("p", "X"), naf=(atom("s", "X"),))
+        assert r.canonical() is r.canonical()
+
+    def test_replaced_rule_gets_its_own_key(self):
+        r = rule("r", atom("q", "X"), atom("p", "X"))
+        key = r.canonical()
+        other = replace(r, head=atom("s", "X"))
+        assert other.canonical() != key
+        theory = Theory([("r", r)])
+        assert theory.contains(r) and not theory.contains(other)
+
+    def test_a_fact_is_told_apart_from_its_relatives(self):
+        fact = atom("have", "alpha", "nail")
+        relatives = [
+            fact.complement(),
+            intends("alpha", fact),
+            intends("beta", fact),
+            replace(intends("alpha", fact), modality=Modality.BEL),
+        ]
+        theory = Theory([("f", fact)])
+        assert theory.has_fact(fact) and theory.contains(fact)
+        for other in relatives:
+            assert not theory.has_fact(other) and not theory.contains(other)
+        wrapped = Theory([("w", intends("alpha", fact))])
+        assert wrapped.has_fact(intends("alpha", fact))
+        assert not wrapped.has_fact(intends("beta", fact)) and not wrapped.has_fact(fact)
+
+    def test_cyclic_substitution_stops_at_the_cycle(self):
+        s = Substitution({"X": Variable("Y"), "Y": Variable("X")})
+        assert s.resolve(Variable("X")) == Variable("X")
+        assert s.resolve(Variable("Y")) == Variable("Y")
+        assert s.resolve(Variable("Z")) == Variable("Z")
+        assert s.resolve(Constant("a")) == Constant("a")
 
 
 def test_prove_deterministic(gamma_full):
