@@ -20,6 +20,7 @@ from .logic import (
     DEFAULT_PROOF_DEPTH,
     DepthExceeded,
     Entry,
+    GeneralRule,
     Proof,
     Theory,
     consistent,
@@ -187,7 +188,7 @@ def evaluate(
     searched for a counter-argument: first a rebut of the conclusion, then
     undercuts of the support facts in declaration order.
     """
-    extension = [(s.label, s.item) for s in proposed.support if not _is_general(s)]
+    extension = [(s.label, s.item) for s in proposed.support if not isinstance(s.item, GeneralRule)]
     extended = delta.extended(list(context) + extension)
 
     def counter_for(point: Literal, kind: AttackKind) -> Optional[Decision]:
@@ -208,9 +209,3 @@ def evaluate(
         if decision is not None:
             return decision
     return Decision(Verdict.ACCEPT)
-
-
-def _is_general(s: SupportItem) -> bool:
-    from .logic import GeneralRule
-
-    return isinstance(s.item, GeneralRule)

@@ -303,13 +303,6 @@ class Proof:
     premises: frozenset[str]
     steps: tuple[ProofStep, ...]
 
-    def replays(self, theory: Theory, depth: int = DEFAULT_PROOF_DEPTH) -> bool:
-        """The recorded premises alone re-derive the conclusion."""
-        try:
-            return prove(theory.restricted(self.premises), self.conclusion, depth) is not None
-        except DepthExceeded:
-            return False
-
 
 # ----------------------------------------------------------------------
 # Forward chaining

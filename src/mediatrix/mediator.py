@@ -280,8 +280,9 @@ class Mediation:
                 n = max(n, int(m.group(1)))
         return n
 
-    def _label_incoming(self, items: list[Entry]) -> list[tuple[str, Entry]]:
-        out = []
+    def _learn(self, items: Iterable[Entry]) -> list[str]:
+        """Label the items the theory does not hold yet, revise it with them, return the labels."""
+        labelled = []
         seen = set()
         for item in items:
             key = entry_canonical(item)
@@ -289,8 +290,18 @@ class Mediation:
                 continue
             seen.add(key)
             self._label_no += 1
-            out.append((f"M.{self._label_no}", item))
-        return out
+            labelled.append((f"M.{self._label_no}", item))
+        self.gamma = revise(self.gamma, labelled)
+        return [l for l, _ in labelled]
+
+    def _solve(self, exclude: Iterable[GiveAction] = ()) -> Optional[Solution]:
+        return create_solution(
+            self.gamma,
+            self.goals(),
+            generous=self.gamma.generosity_owners(),
+            exclude=exclude,
+            depth=self.config.proof_depth,
+        )
 
     # -- protocol steps ------------------------------------------------
 
@@ -298,19 +309,6 @@ class Mediation:
         agent, package = disclose(self.agents[agent_id], round_no)
         self.agents[agent_id] = agent
         return package
-
-    def _fold(self, packages: dict[str, list[DisclosureItem]]) -> list[str]:
-        items: list[Entry] = []
-        for agent_id in self.order:
-            for d in packages[agent_id]:
-                payload = d.payload
-                if isinstance(payload, ResourceDecl):
-                    items.append(payload.have())
-                else:
-                    items.append(payload)
-        labelled = self._label_incoming(items)
-        self.gamma = revise(self.gamma, labelled)
-        return [l for l, _ in labelled]
 
     def goals(self) -> dict[str, Literal]:
         out = {}
@@ -330,8 +328,14 @@ class Mediation:
                 rel.append(arg)
         return rel
 
-    def propose(self, agent_id: str, solution: Solution) -> tuple[bool, list[SupportItem], tr.ProposalRecord]:
-        """Send the solution's relevant arguments; accept iff all are accepted."""
+    def propose(
+        self, agent_id: str, solution: Solution
+    ) -> tuple[list[Argument], list[SupportItem], tr.ProposalRecord]:
+        """Send the solution's relevant arguments; the agent accepts iff it rejects none.
+
+        Returns the rejected arguments, the support of their counter-arguments
+        (each item once) and the proposal record.
+        """
         bundle = self._relevant(solution, agent_id)
         context: list[tuple[str, Entry]] = [
             (f"S.{i + 1}", c) for i, c in enumerate(solution.conclusions())
@@ -341,13 +345,13 @@ class Mediation:
                 if not isinstance(s.item, GeneralRule):
                     context.append((s.label, s.item))
         delta = self.agents[agent_id].delta()
-        accepted = True
+        rejected: list[Argument] = []
         explanation: list[SupportItem] = []
         decisions: list[tr.DecisionRecord] = []
         for arg in bundle:
             decision = evaluate(delta, arg, context, self.config.proof_depth)
             if decision.verdict is Verdict.REJECT:
-                accepted = False
+                rejected.append(arg)
                 for s in decision.explanation:
                     if s not in explanation:
                         explanation.append(s)
@@ -358,60 +362,41 @@ class Mediation:
                     tuple(str(s.label) for s in decision.explanation),
                 )
             )
-        return accepted, explanation, tr.ProposalRecord(agent_id, accepted, tuple(decisions))
+        return rejected, explanation, tr.ProposalRecord(agent_id, not rejected, tuple(decisions))
 
     def negotiate(
         self,
-        solution: Solution,
         rejecting: str,
         explanation: list[SupportItem],
         rejected_args: list[Argument],
     ) -> tuple[Optional[Solution], tr.NegotiationRecord, list[tr.ProposalRecord]]:
         """Single-repair exchange after exactly one rejection.
 
-        The rejector's counter-argument support joins the working theory,
-        the attacked transfers are excluded, and one replanning attempt is
-        made; the repair stands only if both agents accept it.
+        The rejector's counter-argument support has already joined the
+        working theory; the attacked transfers are excluded and one
+        replanning attempt is made. The repair stands only if both agents
+        accept it.
         """
-        items = [(s.label, s.item) for s in explanation if not isinstance(s.item, GeneralRule)]
-        self.gamma = revise(self.gamma, self._label_incoming([e for _, e in items]))
         excluded = set()
         for arg in rejected_args:
             c = arg.conclusion
             if c.predicate == GIVE and len(c.args) == 3:
                 excluded.add(GiveAction(*(a.symbol for a in c.args)))
-        repaired = create_solution(
-            self.gamma,
-            self.goals(),
-            generous=self._generous(),
-            exclude=excluded,
-            depth=self.config.proof_depth,
-        )
+        repaired = self._solve(exclude=excluded)
         explanations = {a: () for a in self.order}
         explanations[rejecting] = tuple(sorted(s.label for s in explanation))
-        proposals: list[tr.ProposalRecord] = []
-        if repaired is None:
-            record = tr.NegotiationRecord(
-                rejecting, None, False, tuple(sorted(explanations.items()))
-            )
-            return None, record, proposals
-        ok = True
-        for agent_id in self.order:
-            accepted, expl, prop = self.propose(agent_id, repaired)
-            proposals.append(prop)
-            if not accepted:
-                ok = False
+        verdicts = [] if repaired is None else [self.propose(a, repaired) for a in self.order]
+        for agent_id, (rejected, expl, _) in zip(self.order, verdicts):
+            if rejected:
                 explanations[agent_id] = tuple(sorted({s.label for s in expl}))
+        accepted = repaired is not None and not any(rejected for rejected, _, _ in verdicts)
         record = tr.NegotiationRecord(
-            rejecting, repaired.record(), ok, tuple(sorted(explanations.items()))
+            rejecting,
+            None if repaired is None else repaired.record(),
+            accepted,
+            tuple(sorted(explanations.items())),
         )
-        return (repaired if ok else None), record, proposals
-
-    def _generous(self) -> set[str]:
-        return self.gamma.generosity_owners()
-
-    def _negate_solution(self, solution: Solution) -> list[Entry]:
-        return [c.complement() for c in solution.conclusions()]
+        return (repaired if accepted else None), record, [prop for _, _, prop in verdicts]
 
     # -- acceptance execution -------------------------------------------
 
@@ -452,7 +437,7 @@ class Mediation:
                         self.world = execute_give(self.world, m.payload)
                     queue.append(m)
             for m in mediator_inbox:
-                if m.kind is MessageKind.ASK and self.mediator.id in self._generous():
+                if m.kind is MessageKind.ASK and self.mediator.id in self.gamma.generosity_owners():
                     action: GiveAction = m.payload
                     if action.resource in self.world.get(self.mediator.id, frozenset()):
                         self.world = execute_give(self.world, action)
@@ -466,79 +451,53 @@ class Mediation:
     def run(self) -> Outcome:
         stall = 0
         final: Optional[Solution] = None
-        status, reason = "failure", "round limit exceeded"
+        reason: Optional[str] = None  # set when a round ends the run
         rounds_played = 0
         for round_no in range(1, self.config.max_rounds + 1):
             rounds_played = round_no
             packages = {a: self.get_knowledge(a, round_no) for a in self.order}
-            delta_labels = self._fold(packages)
-            new_knowledge = bool(delta_labels)
-            solution = create_solution(
-                self.gamma,
-                self.goals(),
-                generous=self._generous(),
-                depth=self.config.proof_depth,
+            delta_labels = self._learn(
+                d.payload.have() if isinstance(d.payload, ResourceDecl) else d.payload
+                for a in self.order
+                for d in packages[a]
             )
+            solution = self._solve()
             proposals: list[tr.ProposalRecord] = []
             negotiation: Optional[tr.NegotiationRecord] = None
             messages: list[tr.MessageRecord] = []
-            done = False
 
             if solution is None:
-                stall = stall + 1 if not new_knowledge else 0
+                stall = 0 if delta_labels else stall + 1
                 if stall >= self.config.stall_threshold:
-                    status, reason = "failure", "no new knowledge and no solution"
-                    done = True
+                    reason = "no new knowledge and no solution"
             else:
                 stall = 0
-                results = {}
-                explanations = {}
-                rejected_args: dict[str, list[Argument]] = {}
-                for agent_id in self.order:
-                    accepted, expl, prop = self.propose(agent_id, solution)
-                    proposals.append(prop)
-                    results[agent_id] = accepted
-                    explanations[agent_id] = expl
-                    rejected_args[agent_id] = [
-                        arg
-                        for arg, dec in zip(self._relevant(solution, agent_id), prop.decisions)
-                        if dec.verdict == "reject"
-                    ]
-                expl_items = [
-                    (s.label, s.item)
-                    for agent_id in self.order
-                    for s in explanations[agent_id]
+                verdicts = {a: self.propose(a, solution) for a in self.order}
+                proposals = [prop for _, _, prop in verdicts.values()]
+                explained = [
+                    s.item
+                    for a in self.order
+                    for s in verdicts[a][1]
                     if not isinstance(s.item, GeneralRule)
                 ]
-                if expl_items:
-                    self.gamma = revise(
-                        self.gamma, self._label_incoming([e for _, e in expl_items])
+                if explained:
+                    self._learn(explained)
+                rejecting = [a for a in self.order if verdicts[a][0]]
+                if not rejecting:
+                    final, reason = solution, "both agents accepted the solution"
+                elif len(rejecting) == 1:
+                    rejected_args, explanation, _ = verdicts[rejecting[0]]
+                    final, negotiation, repair_proposals = self.negotiate(
+                        rejecting[0], explanation, rejected_args
                     )
-                if all(results.values()):
-                    messages = self._execute(solution)
-                    final = solution
-                    status, reason = "success", "both agents accepted the solution"
-                    done = True
-                elif not any(results.values()):
-                    negated = self._negate_solution(solution)
-                    self.gamma = revise(self.gamma, self._label_incoming(negated))
+                    proposals += repair_proposals
+                    if final is not None:
+                        reason = "negotiated repair accepted"
+                if final is None:
+                    # both rejected, or the repair failed: never propose these transfers again
+                    self._learn(c.complement() for c in solution.conclusions())
                 else:
-                    rejecting = next(a for a in self.order if not results[a])
-                    repaired, negotiation, neg_props = self.negotiate(
-                        solution,
-                        rejecting,
-                        explanations[rejecting],
-                        rejected_args[rejecting],
-                    )
-                    proposals.extend(neg_props)
-                    if repaired is not None:
-                        messages = self._execute(repaired)
-                        final = repaired
-                        status, reason = "success", "negotiated repair accepted"
-                        done = True
-                    else:
-                        negated = self._negate_solution(solution)
-                        self.gamma = revise(self.gamma, self._label_incoming(negated))
+                    messages = self._execute(final)
 
             self._rounds.append(
                 tr.Round(
@@ -547,18 +506,18 @@ class Mediation:
                         (a, tuple(str(d.payload) for d in packages[a])) for a in self.order
                     ),
                     revision_delta=tuple(delta_labels),
-                    new_knowledge=new_knowledge,
+                    new_knowledge=bool(delta_labels),
                     solution=None if solution is None else solution.record(),
                     proposals=tuple(proposals),
                     negotiation=negotiation,
                     messages=tuple(messages),
                 )
             )
-            if done:
+            if reason is not None:
                 break
-        else:
-            rounds_played = self.config.max_rounds
 
+        status = "failure" if final is None else "success"
+        reason = reason or "round limit exceeded"
         transcript = tr.Transcript(
             scenario_name=self.scenario_name,
             outcome=status,

@@ -493,12 +493,7 @@ def serialize_scenario(scenario: Scenario) -> bytes:
     for a in scenario.agents:
         for unit, tag in (("B", "bel"), ("D", "des"), ("I", "int")):
             for label, item in a.units[unit].entries():
-                if isinstance(item, Rule):
-                    lines.append(f"[{label}] {tag} {a.id}: {render_rule(item)}.")
-                elif item.modality is Modality.NONE:
-                    lines.append(f"[{label}] {tag} {a.id}: {render_literal(item)}.")
-                else:
-                    lines.append(f"[{label}] {tag} {a.id}: {render_literal(item)}.")
+                lines.append(f"[{label}] {tag} {a.id}: {render_entry(item)}.")
         for name, value in a.resources:
             lines.append(f"resource {a.id} {name} = {_render_fraction(value)};")
         lines.append("")

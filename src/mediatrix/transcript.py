@@ -7,7 +7,7 @@ round-trips exactly. The text form is a human-readable round narrative.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 SCHEMA_VERSION = 1
@@ -77,16 +77,17 @@ class Transcript:
     final_ownership: tuple[tuple[str, tuple[str, ...]], ...]  # (agent, sorted resources)
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
+def _plain(obj):
+    """Records as JSON data: a record becomes a dict in field order, a tuple a list."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_plain(v) for v in obj]
     return obj
 
 
 def to_dict(t: Transcript) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **_clean(asdict(t))}
+    return {"schema_version": SCHEMA_VERSION, **_plain(t)}
 
 
 def from_dict(d: dict) -> Transcript:

@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mediatrix"
+import mediatrix
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mediatrix"
+# argparse calls this override itself, so nothing in the package names it
+CALLED_FROM_OUTSIDE = {"cli._ArgumentParser.error"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +39,47 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_from_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(node: ast.AST, prefix: str):
+    """(qualified name, node) of every function, method and class under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{child.name}", child
+            yield from _definitions(child, f"{prefix}.{child.name}")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def dead_definitions(modules: dict[str, str], readers: list[str], used=frozenset()) -> list[str]:
+    """Definitions in `modules` (name -> source) whose name no reader reads.
+
+    A definition counts as read when a reader mentions its name as a
+    variable or an attribute. Dunder methods and names in `used` count as
+    read.
+    """
+    read = set(used)
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, source in sorted(modules.items()):
+        for qualname, node in _definitions(ast.parse(source), module):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not (dunder or node.name in read or qualname in CALLED_FROM_OUTSIDE):
+                dead.append(f"{qualname} (line {node.lineno})")
+    return dead
+
+
+def test_scan_finds_a_dead_definition():
+    source = "def f(): pass\ndef g(): f()\nclass C:\n    def __init__(self): pass\n    def h(self): pass\n"
+    assert dead_definitions({"m": source}, [source, "m.C().h()"]) == ["m.g (line 2)"]
+
+
+def test_every_definition_is_read():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    readers = list(modules.values()) + [p.read_text() for p in TESTS.glob("*.py")]
+    assert dead_definitions(modules, readers, used=set(mediatrix.__all__)) == []

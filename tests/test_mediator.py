@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from mediatrix import mediator
 from mediatrix.agent import GiveAction
 from mediatrix.lang import Literal, atom, intends
 from mediatrix.logic import Theory
@@ -133,6 +136,7 @@ class TestMediate:
     def test_case_study_success_two_rounds(self):
         out = self.run("home_improvement")
         assert out.status == "success"
+        assert out.reason == "both agents accepted the solution"
         assert out.rounds == 2
 
     def test_ablation_fails_by_stall(self):
@@ -152,6 +156,7 @@ class TestMediate:
     def test_negotiation_repair_with_second_donor(self):
         out = self.run("two_donor")
         assert out.status == "success"
+        assert out.reason == "negotiated repair accepted"
         neg = out.transcript.rounds[0].negotiation
         assert neg is not None and neg.accepted
         assert neg.rejecting_agent == "beta"
@@ -165,6 +170,23 @@ class TestMediate:
         recorded = dict(neg.explanations)
         assert set(recorded) == {"alpha", "beta"}
         assert recorded["beta"] != ()
+
+    def test_round_limit_after_failed_negotiation(self):
+        s = load_scenario("single_donor")
+        out = mediate(list(s.agents), s.mediator, replace(s.config, max_rounds=1), s.name)
+        assert out.status == "failure"
+        assert out.reason == "round limit exceeded"
+        assert out.rounds == 1
+
+    @pytest.mark.parametrize("name, revisions", [("two_donor", 2), ("single_donor", 4)])
+    def test_negotiation_does_not_revise_again(self, monkeypatch, name, revisions):
+        """The rejector's explanation is learnt once, before the negotiation,
+        which does not revise the mediator's theory again."""
+        calls = []
+        original = mediator.revise
+        monkeypatch.setattr(mediator, "revise", lambda *a: calls.append(a) or original(*a))
+        self.run(name)
+        assert len(calls) == revisions
 
     def test_trivial_success_round_one(self):
         out = self.run("self_sufficient")
