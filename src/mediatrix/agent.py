@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .lang import Constant, Literal, Modality, intends
 from .logic import (
@@ -25,7 +25,6 @@ from .logic import (
     Rule,
     Theory,
     believed_ownership,
-    entry_canonical,
     ground_args,
     holdings,
     plan_options,
@@ -154,16 +153,15 @@ class AgentState:
 
     def delta(self) -> Theory:
         """The agent's reasoning theory: beliefs plus modally wrapped intentions."""
-        entries = list(self.unit("B").entries())
         me = Constant(self.id)
-        for label, fact in self.unit("I").facts():
-            entries.append((f"I:{label}", replace(fact, modality=Modality.INT, owner=me)))
-        return Theory(_dedup(entries), self.general)
+        intentions = [
+            (f"I:{label}", replace(fact, modality=Modality.INT, owner=me))
+            for label, fact in self.unit("I").facts()
+        ]
+        return self.unit("B").extended(intentions, self.general)
 
     def with_unit(self, name: str, theory: Theory) -> "AgentState":
-        units = dict(self.units)
-        units[name] = theory
-        return replace(self, units=units)
+        return replace(self, units={**self.units, name: theory})
 
     def believes(self, lit: Literal) -> bool:
         return self.unit("B").has_fact(lit)
@@ -171,17 +169,6 @@ class AgentState:
     def _next_label(self, prefix: str) -> tuple["AgentState", str]:
         n = self.fresh + 1
         return replace(self, fresh=n), f"{prefix}{self.id}.{n}"
-
-
-def _dedup(entries: Iterable[tuple[str, Entry]]) -> list[tuple[str, Entry]]:
-    seen, out = set(), []
-    for label, item in entries:
-        key = entry_canonical(item)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((label, item))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -250,16 +237,8 @@ def intends_to_keep(agent: AgentState, resource: str) -> bool:
         if goal is None:
             continue
         for p in plan(agent, intends(Constant(agent.id), goal.atom())):
-            if not p.selected:
-                continue
-            for pre in p.preconditions:
-                if (
-                    pre.predicate == OWNS
-                    and len(pre.args) == 2
-                    and pre.args[1] == Constant(resource)
-                    and pre.args[0] == Constant(agent.id)
-                ):
-                    return True
+            if p.selected and any(pre.predicate == OWNS and pre.args == keep.args for pre in p.preconditions):
+                return True
     return False
 
 
@@ -271,6 +250,8 @@ def intends_to_keep(agent: AgentState, resource: str) -> bool:
 def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, list[Message]]:
     """Apply all enabled bridge rules once to a fixpoint within the round."""
     outbox: list[Message] = []
+    for name in UNITS:  # found once per theory, so every extension below checks only its new facts
+        agent.unit(name).clash()
 
     if BRIDGE_TRUST in agent.bridges:
         for msg in inbox:
@@ -279,8 +260,7 @@ def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, li
 
     for msg in inbox:
         if msg.kind is MessageKind.GIVE:
-            action: GiveAction = msg.payload
-            agent = _apply_transfer(agent, action)
+            agent = _apply_transfer(agent, msg.payload)
 
     if BRIDGE_ACCEPT in agent.bridges:
         for msg in inbox:
@@ -319,15 +299,11 @@ def _absorb_tell(agent: AgentState, msg: Message) -> AgentState:
     if labelled:
         agent = agent.with_unit("B", agent.unit("B").extended(labelled))
     if conclusion is not None:
-        if (
-            conclusion.modality is Modality.INT
-            and conclusion.owner == Constant(agent.id)
-        ):
-            agent, label = agent._next_label("T:")
-            agent = agent.with_unit("I", agent.unit("I").extended([(label, conclusion.atom() if conclusion.positive else replace(conclusion.atom(), positive=False))]))
-        else:
-            agent, label = agent._next_label("T:")
-            agent = agent.with_unit("B", agent.unit("B").extended([(label, conclusion)]))
+        agent, label = agent._next_label("T:")
+        name = "B"
+        if conclusion.modality is Modality.INT and conclusion.owner == Constant(agent.id):
+            name, conclusion = "I", Literal(conclusion.predicate, conclusion.args, conclusion.positive)
+        agent = agent.with_unit(name, agent.unit(name).extended([(label, conclusion)]))
     return agent
 
 
@@ -348,11 +324,7 @@ def _apply_transfer(agent: AgentState, action: GiveAction) -> AgentState:
     me = agent.id
     had = Literal(OWNS, (Constant(action.giver), Constant(action.resource)))
     got = Literal(OWNS, (Constant(action.receiver), Constant(action.resource)))
-    beliefs = Theory(
-        [(l, e) for l, e in agent.unit("B").entries() if e != had],
-        agent.unit("B").general,
-    )
-    agent = agent.with_unit("B", beliefs)
+    agent = agent.with_unit("B", agent.unit("B").filtered(lambda l, e: e != had))
     if not agent.unit("B").has_fact(got):
         agent, label = agent._next_label("W:")
         agent = agent.with_unit("B", agent.unit("B").extended([(label, got)]))
@@ -376,9 +348,9 @@ def _propagate_realism(agent: AgentState) -> AgentState:
         if new:
             agent = agent.with_unit(target, have.extended(new))
     for name in UNITS:
-        for _, fact in agent.unit(name).facts():
-            if agent.unit(name).has_fact(fact.complement()):
-                raise RealismViolation(f"unit {name} holds {fact} and its complement")
+        fact = agent.unit(name).clash()
+        if fact is not None:
+            raise RealismViolation(f"unit {name} holds {fact} and its complement")
     return agent
 
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .lang import Constant, Literal
-from .logic import DepthExceeded, LogicError, Theory, prove
+from .logic import DepthExceeded, LogicError, prove
 from .mediator import MediationError, mediate
 from .oracle import certify
 from .scenario import ParseError, Scenario, ValidationError, parse_scenario
@@ -118,8 +118,8 @@ def _run(scenario: Scenario, args, trace) -> int:
 def _check(scenario: Scenario, args, trace) -> int:
     lines = [f"scenario {scenario.name}: valid"]
     for agent in scenario.agents:
-        own = Theory(list(agent.unit("B").entries()), agent.general).extended(
-            [(f"res:{name}", decl) for name, decl in _have_facts(agent)]
+        own = agent.unit("B").extended(
+            [(f"res:{name}", decl) for name, decl in _have_facts(agent)], agent.general
         )
         for label in agent.goal_labels:
             goal = agent.unit("I").lookup(label)

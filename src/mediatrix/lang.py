@@ -8,7 +8,7 @@ explicit polarity, and a predicate over flat terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Union
 
@@ -53,13 +53,15 @@ class Modality(Enum):
     INT = "int"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     predicate: str
     args: tuple[Term, ...] = ()
     positive: bool = True
     modality: Modality = Modality.NONE
     owner: Optional[Term] = None
+    # filled on first use by `__hash__`: a literal is hashed by every set and dict it meets
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modality in (Modality.BEL, Modality.DES, Modality.INT):
@@ -67,6 +69,16 @@ class Literal:
                 raise ValueError(f"{self.modality.value} literal needs an owner")
         elif self.owner is not None:
             raise ValueError("plain literal cannot carry an owner")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            key = (self.predicate, self.args, self.positive, self.modality, self.owner)
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a cached one must not be pickled
+        return Literal, (self.predicate, self.args, self.positive, self.modality, self.owner)
 
     def complement(self) -> "Literal":
         """Classical complement: flips polarity only."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .lang import (
     Constant,
@@ -188,6 +188,7 @@ class Theory:
         self.general: tuple[GeneralRule, ...] = tuple(general)
         self._fixpoint_cache: Optional[dict[Literal, "Proof"]] = None
         self._shape_index: Optional[ShapeIndex] = None
+        self._clash: Union[Literal, None, bool] = False  # False until `clash` has looked
         for label, item in entries:
             self._add(label, item)
 
@@ -239,6 +240,13 @@ class Theory:
             self._shape_index = index
         return self._shape_index
 
+    def clash(self) -> Optional[Literal]:
+        """First fact, in declaration order, whose complement the theory also holds; found once."""
+        if self._clash is False:
+            facts = (e for _, e in self._entries if isinstance(e, Literal))
+            self._clash = next((f for f in facts if f.complement() in self._keys), None)
+        return self._clash
+
     def general_of(self, kind: GeneralKind) -> Optional[GeneralRule]:
         for g in self.general:
             if g.kind is kind:
@@ -250,10 +258,13 @@ class Theory:
 
     # -- construction --------------------------------------------------
 
-    def extended(self, items: Iterable[tuple[str, Entry]]) -> "Theory":
-        """New theory with the items appended; duplicates (up to renaming) skipped."""
-        # the parent's entries were checked and keyed when it was built; `_add` mutates, so copy
-        t = Theory((), self.general)
+    def extended(self, items: Iterable[tuple[str, Entry]], general=None) -> "Theory":
+        """New theory with the items appended; duplicates (up to renaming) skipped.
+
+        Only the new items are checked and keyed, and a clash-free parent stays
+        so unless a new fact meets its complement.
+        """
+        t = Theory((), self.general if general is None else general)
         t._entries, t._by_label, t._keys = list(self._entries), dict(self._by_label), set(self._keys)
         for label, item in items:
             if t.contains(item):
@@ -263,15 +274,25 @@ class Theory:
                 n += 1
                 lab = f"{label}~{n}"
             t._add(lab, item)
+        new = (e for _, e in t._entries[len(self._entries):] if isinstance(e, Literal))
+        if self._clash is None and not any(f.complement() in t._keys for f in new):
+            t._clash = None
+        return t
+
+    def filtered(self, keep: Callable[[str, Entry], bool], general=None) -> "Theory":
+        """Sub-theory of the entries `keep` accepts, in order; they were checked when first added."""
+        t = Theory((), self.general if general is None else general)
+        t._entries = [(l, e) for l, e in self._entries if keep(l, e)]
+        t._by_label = dict(t._entries)
+        t._keys = {entry_canonical(e) for _, e in t._entries}
+        if self._clash is None:
+            t._clash = None
         return t
 
     def restricted(self, labels: Iterable[str]) -> "Theory":
         """Sub-theory keeping only the given labels (entries and general rules)."""
         keep = set(labels)
-        return Theory(
-            [(l, e) for l, e in self._entries if l in keep],
-            [g for g in self.general if g.label in keep],
-        )
+        return self.filtered(lambda l, e: l in keep, [g for g in self.general if g.label in keep])
 
     def __eq__(self, other) -> bool:
         return (
@@ -382,12 +403,9 @@ def forward_chain(theory: Theory) -> dict[Literal, Proof]:
                     if add(head, Proof(head, frozenset(premises), tuple(steps))):
                         changed = True
 
-    positive = [(l, r) for l, r in rules if not r.naf]
-    saturate(positive, None)
-    stratum_one = dict(base)
-    guarded = [(l, r) for l, r in rules if r.naf]
-    if guarded:
-        saturate(rules, stratum_one)
+    saturate([(l, r) for l, r in rules if not r.naf], None)
+    if any(r.naf for _, r in rules):
+        saturate(rules, dict(base))  # absence conditions read the positive stratum
     return base
 
 
@@ -403,10 +421,7 @@ def consistent(facts: Iterable[Literal], theory: Theory) -> bool:
 
 def _positive_stratum(theory: Theory) -> dict[Literal, Proof]:
     if theory._fixpoint_cache is None:
-        positive = Theory(
-            [(l, e) for l, e in theory.entries() if isinstance(e, Literal) or not e.naf],
-            theory.general,
-        )
+        positive = theory.filtered(lambda l, e: isinstance(e, Literal) or not e.naf)
         theory._fixpoint_cache = forward_chain(positive)
     return theory._fixpoint_cache
 
@@ -669,14 +684,15 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     me = Constant(agent)
     out, seen = [], set()
     for _, label, rule in theory.shape_index().heads.get(shape(goal_atom), ()):
+        # renaming keeps the key, and rules equal up to renaming unify alike
+        key = rule.canonical()
+        if key in seen:
+            continue
+        seen.add(key)
         r = rule.rename(0)
         s = unify(goal_atom, r.head)
         if s is None:
             continue
-        key = r.canonical()
-        if key in seen:
-            continue
-        seen.add(key)
         preconds = tuple(s.apply(b) for b in r.body)
         needed, missing, open_resource = [], [], False
         for p in preconds:

@@ -126,8 +126,7 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
         if last.get(b, -1) > i:
             raise IncoherentInput(f"incoming knowledge asserts both {a} and {b}")
         complements.add(b)
-    kept = [(l, e) for l, e in gamma.entries() if not (isinstance(e, Literal) and e in complements)]
-    return Theory(kept, gamma.general).extended(incoming)
+    return gamma.filtered(lambda l, e: not (isinstance(e, Literal) and e in complements)).extended(incoming)
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +281,7 @@ class Mediation:
 
     def _learn(self, items: Iterable[Entry]) -> list[str]:
         """Label the items the theory does not hold yet, revise it with them, return the labels."""
-        labelled = []
-        seen = set()
+        labelled, seen = [], set()
         for item in items:
             key = entry_canonical(item)
             if key in seen or self.gamma.contains(item):
@@ -291,7 +289,8 @@ class Mediation:
             seen.add(key)
             self._label_no += 1
             labelled.append((f"M.{self._label_no}", item))
-        self.gamma = revise(self.gamma, labelled)
+        if labelled:
+            self.gamma = revise(self.gamma, labelled)
         return [l for l, _ in labelled]
 
     def _solve(self, exclude: Iterable[GiveAction] = ()) -> Optional[Solution]:

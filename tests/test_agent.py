@@ -19,7 +19,9 @@ from mediatrix.agent import (
     intends_to_keep,
     plan,
 )
-from mediatrix.lang import Modality, atom, intends, modal
+from mediatrix import logic
+from mediatrix.argumentation import Verdict, construct_argument, evaluate
+from mediatrix.lang import Literal, Modality, atom, intends, modal
 from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory
 
 GENERAL = (
@@ -63,6 +65,12 @@ def make_beta(**overrides) -> AgentState:
     return AgentState(**defaults)
 
 
+def make_filled_beta(n: int) -> AgentState:
+    """beta with n filler beliefs after its own."""
+    beliefs = make_beta().unit("B").entries() + [(f"F.{i}", atom("near", "beta", f"c{i}")) for i in range(n)]
+    return make_beta(units={**make_beta().units, "B": Theory(beliefs)})
+
+
 class TestAgentState:
     def test_resources_sorted_by_value_then_name(self):
         agent = make_beta(
@@ -77,6 +85,45 @@ class TestAgentState:
     def test_delta_wraps_intentions(self):
         delta = make_beta().delta()
         assert delta.has_fact(intends("beta", atom("can", "beta", "hang_mirror")))
+
+    def test_delta_keys_only_the_intentions(self, monkeypatch):
+        agent = make_filled_beta(200)
+        keyed = []
+        original = logic.entry_canonical
+        monkeypatch.setattr(logic, "entry_canonical", lambda item: keyed.append(item) or original(item))
+        delta = agent.delta()
+        assert len(keyed) <= 2
+        assert len(delta) == len(agent.unit("B")) + 1 and delta.general == GENERAL
+
+
+class TestDuplicateBelief:
+    """A repeated belief stays in delta; it is never a first proof's premise, so nothing changes."""
+
+    def agents(self):
+        beliefs = make_beta().unit("B").entries()
+        twins = [("B.5", atom("have", "beta", "nail")), ("B.6", MIRROR_RULE)]
+        return make_beta(units={**make_beta().units, "B": Theory(beliefs + twins)}), make_beta()
+
+    def test_plan_is_unchanged(self):
+        twinned, reference = self.agents()
+        assert len(twinned.delta()) == len(reference.delta()) + 2
+        goal = intends("beta", atom("can", "beta", "hang_mirror"))
+        assert plan(twinned, goal) == plan(reference, goal)
+
+    def test_evaluate_is_unchanged(self, gamma_full):
+        twinned, reference = self.agents()
+        nail = intends("beta", atom("give", "beta", "alpha", "nail"))
+        rejected = construct_argument(gamma_full.extended([("S.0", nail)]), nail)
+        context = [
+            ("S.1", intends("beta", atom("give", "alpha", "beta", "screw"))),
+            ("S.2", intends("beta", atom("give", "mu", "beta", "screwdriver"))),
+            ("M.2", gamma_full.lookup("M.2")),
+        ]
+        accepted = construct_argument(gamma_full, intends("alpha", atom("give", "beta", "alpha", "nail")))
+        for proposal, ctx, verdict in ((rejected, (), Verdict.REJECT), (accepted, context, Verdict.ACCEPT)):
+            decision = evaluate(twinned.delta(), proposal, ctx)
+            assert decision == evaluate(reference.delta(), proposal, ctx)
+            assert decision.verdict is verdict
 
 
 class TestPlan:
@@ -179,8 +226,27 @@ class TestBridgeStep:
         agent = make_beta()
         contradiction = atom("can", "beta", "hang_mirror").complement()
         agent = agent.with_unit("B", agent.unit("B").extended([("X.1", contradiction)]))
-        with pytest.raises(RealismViolation):
+        with pytest.raises(RealismViolation, match=r"^unit B holds ~can\(beta, hang_mirror\) and its complement$"):
             bridge_step(agent, [])
+
+    @pytest.mark.parametrize("checked_first", [False, True])
+    def test_realism_violation_names_the_first_clashing_fact(self, checked_first):
+        agent = make_beta()
+        if checked_first:  # every unit found clash-free, so the next step checks only new facts
+            agent, _ = bridge_step(agent, [])
+        told = atom("have", "beta", "mirror").complement()
+        with pytest.raises(RealismViolation, match=r"^unit B holds have\(beta, mirror\) and its complement$"):
+            bridge_step(agent, [Message(MessageKind.TELL, "mu", "beta", ((), told))])
+
+    def test_told_fact_checks_only_new_facts(self, monkeypatch):
+        agent, _ = bridge_step(make_filled_beta(200), [])
+        complemented = []
+        original = Literal.complement
+        monkeypatch.setattr(Literal, "complement", lambda lit: complemented.append(lit) or original(lit))
+        told = atom("have", "alpha", "screw")
+        agent, _ = bridge_step(agent, [Message(MessageKind.TELL, "mu", "beta", ((), told))])
+        assert agent.believes(told)
+        assert len(complemented) <= 3
 
 
 class TestDisclose:

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -539,6 +544,20 @@ class TestPlanOptions:
         ]
         assert plans[1].transfers == (GiveAction("b", "a", "r"),)
 
+    def test_rules_equal_up_to_renaming_are_renamed_once(self, monkeypatch):
+        theory = Theory(
+            [
+                ("d1", rule("d1", atom("can", "X", "go"), atom("have", "X", "r"))),
+                ("d2", rule("d2", atom("can", "Y", "go"), atom("have", "Y", "r"))),
+                GOAL,
+            ]
+        )
+        renamed = []
+        original = Rule.rename
+        monkeypatch.setattr(Rule, "rename", lambda r, tag: renamed.append(r.label) or original(r, tag))
+        assert [o.label for o in plan_options(theory, "a", atom("can", "a", "go"))] == ["d1"]
+        assert renamed == ["d1"]
+
     def test_variable_resource_sets_the_flag(self):
         theory = Theory(
             [("v1", rule("v1", atom("can", "X", "go"), atom("have", "X", "T"), atom("tool", "T"))), GOAL]
@@ -643,6 +662,48 @@ class TestExtended:
         with pytest.raises(ValueError):
             self.theory().extended([("bad", rule("bad", atom("p", "X", "Y"), atom("p", "X")))])
 
+    def test_extension_of_a_clash_free_theory_checks_only_new_facts(self, monkeypatch):
+        theory = self.theory()
+        assert theory.clash() is None
+        complemented = []
+        original = Literal.complement
+        monkeypatch.setattr(Literal, "complement", lambda lit: complemented.append(lit) or original(lit))
+        grown = theory.extended([("new", atom("p", "new")), ("f1", atom("s", "c1"))])
+        assert grown.clash() is None and grown.clash() is None
+        assert grown.filtered(lambda label, item: label != "f1").clash() is None
+        assert complemented == [atom("p", "new"), atom("s", "c1")]
+
+    def test_clash_is_the_first_clashing_fact_in_declaration_order(self):
+        theory = self.theory()
+        assert theory.clash() is None
+        grown = theory.extended([("n1", atom("p", "c7").complement()), ("n2", atom("p", "c3").complement())])
+        assert grown.clash() == atom("p", "c3")
+        assert Theory(grown.entries()).clash() == atom("p", "c3")
+        assert grown.filtered(lambda label, item: label != "f3").clash() == atom("p", "c7")
+
+
+class TestFiltered:
+    """`filtered` copies already-checked entries: nothing is checked again."""
+
+    def test_keeps_the_accepted_entries_unchecked(self, monkeypatch):
+        guarded = rule("r", atom("q", "X"), atom("p", "X"), naf=(atom("s", "X"),))
+        theory = Theory(
+            [("f1", atom("p", "a")), ("r", guarded), ("f2", atom("p", "b")), ("f3", atom("p", "a"))],
+            [GeneralRule("G.1", GeneralKind.OWNERSHIP)],
+        )
+        checked = []
+        monkeypatch.setattr(Rule, "range_restricted", lambda r: checked.append(r) or True)
+        kept = theory.filtered(lambda label, item: label not in ("f1", "f2"))
+        assert checked == []
+        assert kept.labels() == ["r", "f3"] and kept.general == theory.general
+        assert kept.lookup("f1") is None and kept.lookup("r") is guarded
+        # f3 repeats f1, so the fact stays held; f2 had no twin
+        assert kept.has_fact(atom("p", "a")) and not kept.has_fact(atom("p", "b"))
+        assert kept.contains(guarded)
+        assert theory.restricted(["f2", "G.1"]) == Theory(
+            [("f2", atom("p", "b"))], [GeneralRule("G.1", GeneralKind.OWNERSHIP)]
+        )
+
 
 # ----------------------------------------------------------------------
 # Term layer: direct construction and per-rule keys
@@ -705,6 +766,34 @@ def test_complement_and_apply_match_replace(lit, bindings):
 def test_rename_matches_replace(r, tag):
     assert r.rename(tag) == _replace_rename(r, tag)
     assert r.rename(tag).canonical() == r.canonical()
+
+
+@settings(max_examples=200)
+@given(LITERALS)
+def test_equal_literals_hash_equal_and_the_cache_is_invisible(lit):
+    twin = Literal(lit.predicate, lit.args, lit.positive, lit.modality, lit.owner)
+    hash(lit)  # fills the cache on one side only
+    assert twin == lit and repr(twin) == repr(lit) and "_hash" not in repr(lit)
+    assert hash(twin) == hash(lit)
+    back = replace(lit.complement(), positive=lit.positive)
+    assert back == lit and hash(back) == hash(lit)
+
+
+def test_pickle_does_not_carry_the_cached_hash():
+    lit = intends("alpha", atom("have", "alpha", "nail"))
+    hash(lit)
+    data = pickle.dumps(lit)
+    assert pickle.loads(data) == lit and pickle.loads(data)._hash is None
+    # string hashes depend on the process's seed: the loaded literal must meet a fresh twin
+    code = (
+        "import pickle, sys; from mediatrix.lang import atom, intends; "
+        "lit = pickle.loads(sys.stdin.buffer.read()); "
+        "print(lit in {intends('alpha', atom('have', 'alpha', 'nail'))})"
+    )
+    src = str(Path(logic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "4021", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True, env=env, check=True)
+    assert out.stdout.strip() == b"True"
 
 
 class TestRuleKeys:

@@ -178,7 +178,7 @@ class TestMediate:
         assert out.reason == "round limit exceeded"
         assert out.rounds == 1
 
-    @pytest.mark.parametrize("name, revisions", [("two_donor", 2), ("single_donor", 4)])
+    @pytest.mark.parametrize("name, revisions", [("two_donor", 2), ("single_donor", 3)])
     def test_negotiation_does_not_revise_again(self, monkeypatch, name, revisions):
         """The rejector's explanation is learnt once, before the negotiation,
         which does not revise the mediator's theory again."""
