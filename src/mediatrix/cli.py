@@ -117,6 +117,7 @@ def _run(scenario: Scenario, args, trace) -> int:
 
 def _check(scenario: Scenario, args, trace) -> int:
     lines = [f"scenario {scenario.name}: valid"]
+    depth = scenario.config.proof_depth
     for agent in scenario.agents:
         own = agent.unit("B").extended(
             [(f"res:{name}", decl) for name, decl in _have_facts(agent)], agent.general
@@ -126,11 +127,11 @@ def _check(scenario: Scenario, args, trace) -> int:
             if goal is None:
                 continue
             try:
-                provable = prove(own, goal.atom(), scenario.config.proof_depth) is not None
+                provable = prove(own, goal.atom(), depth) is not None
+                verdict = f"{'reachable' if provable else 'unreachable'} without mediation"
             except DepthExceeded:
-                provable = False
-            word = "reachable" if provable else "unreachable"
-            lines.append(f"{agent.id} goal {label} ({goal.atom()}): {word} without mediation")
+                verdict = f"unknown (depth bound {depth} hit)"
+            lines.append(f"{agent.id} goal {label} ({goal.atom()}): {verdict}")
     output = "\n".join(lines) + "\n"
     _emit(output.encode("utf-8"), args.out, args.verbosity == "quiet")
     return 0

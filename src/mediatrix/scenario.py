@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import repeat
+from typing import Iterator, Optional, Union
 
 from .agent import ALL_BRIDGES, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE, AgentState, Strategy
 from .lang import Constant, Literal, Modality, Term, Variable
@@ -62,48 +63,44 @@ class Scenario:
 # Tokenizer
 # ----------------------------------------------------------------------
 
+# Blanks, newlines and comments are a skipped prefix of every match, so
+# each match is one token; `bad` catches the first character no token
+# starts with, and `eof` matches once the rest of the text is skipped.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<number>\d+(\.\d+)?|\.\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_]+)*)
-  | (?P<arrow>:-)
-  | (?P<punct>[()\[\],.:;=~])
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+      (?P<number>\d+(?:\.\d+)?|\.\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
+    | (?P<arrow>:-)
+    | (?P<punct>[()\[\],.:;=~])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | number | punct | arrow | eof
-    text: str
-    line: int
-    col: int
+def _position(text: str, at: int) -> tuple[int, int]:
+    """Line and column (both from 1) of offset `at`."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+_Tok = tuple[str, str, int]  # (kind, text, offset)
+
+
+def _scan(text: str) -> Iterator[_Tok]:
+    """(kind, text, offset) tokens, read on demand; `eof` repeats forever."""
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            tokens.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        if kind == "eof":
+            break
+        if kind == "bad":
+            at = m.start(kind)
+            raise ParseError(f"unexpected character {text[at]!r}", *_position(text, at))
+        yield kind, m.group(kind), m.start(kind)
+    yield from repeat(("eof", "", len(text)))
 
 
 # ----------------------------------------------------------------------
@@ -123,11 +120,13 @@ class _Participant:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.tokens = _scan(text)
+        self.tok = next(self.tokens)  # the next token
+        self.ahead: list[_Tok] = []  # the tokens after it that peek has read
+        self.terms: dict[str, Term] = {}
         self.name = "scenario"
         self.participants: dict[str, _Participant] = {}
-        self.order: list[str] = []
         self.general: list[GeneralRule] = []
         self.bridges: list[tuple[str, str]] = []  # (label, kind)
         self.config = MediationConfig()
@@ -136,122 +135,116 @@ class _Parser:
 
     # -- token plumbing --------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> _Tok:
+        if not ahead:
+            return self.tok
+        while len(self.ahead) < ahead:
+            self.ahead.append(next(self.tokens))
+        return self.ahead[ahead - 1]
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+    def next(self) -> _Tok:
+        t = self.tok
+        self.tok = self.ahead.pop(0) if self.ahead else next(self.tokens)
         return t
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()) -> "ParseError":
-        t = self.peek()
-        return ParseError(message, t.line, t.col, expected)
+    def fail(self, message: str, expected: tuple[str, ...] = (), tok: Optional[_Tok] = None) -> ParseError:
+        """An error at token `tok`, by default the next one."""
+        return ParseError(message, *_position(self.text, (tok or self.peek())[2]), expected)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+    def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
+        t = self.tok
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
-            raise self.fail(f"unexpected {t.text!r}" if t.text else "unexpected end of input", (want,))
+            raise self.fail(f"unexpected {t[1]!r}" if t[1] else "unexpected end of input", (want,))
         return self.next()
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        t = self.peek()
-        if t.kind == kind and (text is None or t.text == text):
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Tok]:
+        t = self.tok
+        if t[0] == kind and (text is None or t[1] == text):
             return self.next()
         return None
 
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> Scenario:
-        if self.peek().kind == "eof":
+        if self.peek()[0] == "eof":
             raise ParseError("empty scenario", 1, 1, ("a directive",))
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             self.statement()
         return self.build()
 
     def statement(self) -> None:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "[":
+        tok_kind, word, _ = self.peek()
+        if tok_kind == "punct" and word == "[":
             self.labelled_formula()
             return
-        if t.kind != "ident":
-            raise self.fail(f"unexpected {t.text!r}", ("a directive or formula",))
-        if t.text == "scenario":
+        if tok_kind != "ident":
+            raise self.fail(f"unexpected {word!r}", ("a directive or formula",))
+        if word == "scenario":
             self.next()
-            self.name = self.expect("ident").text
+            self.name = self.expect("ident")[1]
             self.expect("punct", ";")
-        elif t.text in ("agent", "mediator"):
+        elif word in ("agent", "mediator"):
             self.next()
-            ident = self.expect("ident").text
+            ident = self.expect("ident")[1]
             if ident in self.participants:
                 raise ValidationError(f"duplicate participant id {ident!r}")
-            self.participants[ident] = _Participant(ident, t.text == "mediator")
-            self.order.append(ident)
+            self.participants[ident] = _Participant(ident, word == "mediator")
             self.expect("punct", ";")
-        elif t.text == "strategy":
+        elif word == "strategy":
             self.next()
-            ident = self.expect("ident").text
+            ident = self.expect("ident")[1]
             self.expect("punct", "=")
-            value = self.expect("ident").text
+            value = self.expect("ident")[1]
             try:
                 self.participant(ident).strategy = Strategy(value)
             except ValueError:
                 raise self.fail(f"unknown strategy {value!r}", ("eager", "cautious"))
             self.expect("punct", ";")
-        elif t.text == "resource":
+        elif word == "resource":
             self.next()
-            owner = self.expect("ident").text
-            name = self.expect("ident").text
+            owner = self.expect("ident")[1]
+            name = self.expect("ident")[1]
             self.expect("punct", "=")
-            num = self.expect("number").text
+            num = self.expect("number")[1]
             value = Fraction(num)
             if not 0 <= value <= 1:
                 raise ValidationError(f"resource value out of [0, 1]: {owner} {name} = {num}")
             self.participant(owner).resources.append((name, value))
             self.expect("punct", ";")
-        elif t.text == "general":
+        elif word == "general":
             self.next()
-            label = self.expect("ident").text
+            label = self.expect("ident")[1]
             kind_tok = self.expect("ident")
             try:
-                kind = GeneralKind(kind_tok.text)
+                kind = GeneralKind(kind_tok[1])
             except ValueError:
-                raise ParseError(
-                    f"unknown general principle {kind_tok.text!r}",
-                    kind_tok.line,
-                    kind_tok.col,
-                    tuple(k.value for k in GeneralKind),
+                raise self.fail(
+                    f"unknown general principle {kind_tok[1]!r}", tuple(k.value for k in GeneralKind), kind_tok
                 )
             owner = None
             if self.accept("punct", "("):
-                owner = self.expect("ident").text
+                owner = self.expect("ident")[1]
                 self.expect("punct", ")")
             self.general.append(GeneralRule(label, kind, owner))
             self.expect("punct", ";")
-            self._flag_inert(t.text, label, kind_tok.text)
-        elif t.text == "bridge":
+            self._flag_inert(word, label, kind_tok[1])
+        elif word == "bridge":
             self.next()
-            label = self.expect("ident").text
+            label = self.expect("ident")[1]
             kind_tok = self.expect("ident")
-            if kind_tok.text not in BRIDGE_KINDS:
-                raise ParseError(
-                    f"unknown bridge rule {kind_tok.text!r}",
-                    kind_tok.line,
-                    kind_tok.col,
-                    tuple(sorted(BRIDGE_KINDS)),
-                )
-            self.bridges.append((label, kind_tok.text))
+            if kind_tok[1] not in BRIDGE_KINDS:
+                raise self.fail(f"unknown bridge rule {kind_tok[1]!r}", tuple(sorted(BRIDGE_KINDS)), kind_tok)
+            self.bridges.append((label, kind_tok[1]))
             self.expect("punct", ";")
-            self._flag_inert(t.text, label, kind_tok.text)
-        elif t.text == "config":
+            self._flag_inert(word, label, kind_tok[1])
+        elif word == "config":
             self.next()
-            key = self.expect("ident").text
+            key = self.expect("ident")[1]
             if key not in CONFIG_KEYS:
                 raise self.fail(f"unknown config key {key!r}", CONFIG_KEYS)
             self.expect("punct", "=")
-            num = self.expect("number").text
+            num = self.expect("number")[1]
             if "." in num:
                 raise ValidationError(f"config {key} must be a positive integer")
             value = int(num)
@@ -274,17 +267,11 @@ class _Parser:
     def labelled_formula(self) -> None:
         label = None
         if self.accept("punct", "["):
-            label = self.expect("ident").text
+            label = self.expect("ident")[1]
             self.expect("punct", "]")
-        mod_tok = self.peek()
         modality, owner = self.modal_prefix()
         if modality is None:
-            raise ParseError(
-                "formula must start with a unit tag",
-                mod_tok.line,
-                mod_tok.col,
-                ("bel", "des", "int"),
-            )
+            raise self.fail("formula must start with a unit tag", ("bel", "des", "int"))
         if not isinstance(owner, Constant) or owner.symbol not in self.participants:
             raise ValidationError(f"formula owner {owner} is not a declared participant")
         p = self.participant(owner.symbol)
@@ -312,15 +299,13 @@ class _Parser:
             p.units[unit].append((label, head))
 
     def modal_prefix(self) -> tuple[Optional[Modality], Optional[Term]]:
-        t = self.peek()
-        if t.kind == "ident" and t.text in MODALITY_KEYWORDS:
-            nxt = self.tokens[self.pos + 1]
-            after = self.tokens[self.pos + 2] if self.pos + 2 < len(self.tokens) else None
-            if nxt.kind == "ident" and after is not None and after.kind == "punct" and after.text == ":":
+        kind, word, _ = self.peek()
+        if kind == "ident" and word in MODALITY_KEYWORDS:
+            if self.peek(1)[0] == "ident" and self.peek(2)[:2] == ("punct", ":"):
                 self.next()
-                owner = self.term(self.next().text)
+                owner = self.term(self.next()[1])
                 self.expect("punct", ":")
-                return MODALITY_KEYWORDS[t.text], owner
+                return MODALITY_KEYWORDS[word], owner
         return None, None
 
     def literal(self) -> Literal:
@@ -329,44 +314,40 @@ class _Parser:
         if self.accept("punct", "~"):
             positive = not positive
         pred_tok = self.expect("ident")
-        if pred_tok.text[0].isupper():
-            raise ParseError(
-                f"predicate {pred_tok.text!r} must be lowercase", pred_tok.line, pred_tok.col
-            )
+        predicate = pred_tok[1]
+        if predicate[0].isupper():
+            raise self.fail(f"predicate {predicate!r} must be lowercase", tok=pred_tok)
         args: list[Term] = []
         if self.accept("punct", "("):
-            args.append(self.term(self.expect("ident").text))
+            args.append(self.term(self.expect("ident")[1]))
             while self.accept("punct", ","):
-                args.append(self.term(self.expect("ident").text))
+                args.append(self.term(self.expect("ident")[1]))
             self.expect("punct", ")")
         if modality is None:
-            return Literal(pred_tok.text, tuple(args), positive)
-        return Literal(pred_tok.text, tuple(args), positive, modality, owner)
+            return Literal(predicate, tuple(args), positive)
+        return Literal(predicate, tuple(args), positive, modality, owner)
 
     def rule_body(self) -> tuple[list[Literal], list[Literal]]:
         body: list[Literal] = []
         naf: list[Literal] = []
         while True:
-            if self.peek().kind == "ident" and self.peek().text == "not":
-                nxt = self.tokens[self.pos + 1]
-                if nxt.kind == "punct" and nxt.text == "(":
-                    self.next()
-                    self.next()
-                    naf.append(self.literal())
-                    self.expect("punct", ")")
-                else:
-                    body.append(self.literal())
+            if self.peek()[:2] == ("ident", "not") and self.peek(1)[:2] == ("punct", "("):
+                self.next()
+                self.next()
+                naf.append(self.literal())
+                self.expect("punct", ")")
             else:
                 body.append(self.literal())
             if not self.accept("punct", ","):
                 break
         return body, naf
 
-    @staticmethod
-    def term(text: str) -> Term:
-        if text[0].isupper() or text[0] == "_":
-            return Variable(text)
-        return Constant(text)
+    def term(self, text: str) -> Term:
+        """One term object per distinct symbol in the file."""
+        t = self.terms.get(text)
+        if t is None:
+            t = self.terms[text] = Variable(text) if text[0].isupper() or text[0] == "_" else Constant(text)
+        return t
 
     # -- assembly ----------------------------------------------------------
 
@@ -410,10 +391,7 @@ class _Parser:
             if not e.is_ground():
                 raise ValidationError(f"mediator case fact {label} must be ground")
         mediator = MediatorState(m.id, theory, self._sorted_resources(m))
-        ordered_agents = tuple(a for a in agent_states)
-        return Scenario(
-            self.name, ordered_agents, mediator, self.config, tuple(self.warnings)
-        )
+        return Scenario(self.name, tuple(agent_states), mediator, self.config, tuple(self.warnings))
 
     def _sorted_resources(self, p: _Participant) -> tuple[tuple[str, Fraction], ...]:
         ordered = tuple(sorted(p.resources, key=lambda r: (r[1], r[0])))

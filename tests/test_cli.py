@@ -93,6 +93,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "a goal a.1 (can(a, rest)): reachable" in out
 
+    def test_bound_hit_is_unknown(self, monkeypatch, capsys):
+        monkeypatch.setenv("MEDIATRIX_PROOF_DEPTH", "1")
+        assert main(["check", HOME]) == 0
+        out = capsys.readouterr().out
+        assert "alpha goal A.1 (can(alpha, hang_picture)): unknown (depth bound 1 hit)" in out
+        assert "unreachable" not in out
+
 
 class TestOracle:
     def test_agreement_on_fixtures(self, capsys):

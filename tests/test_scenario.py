@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mediatrix import scenario as scenario_module
 from mediatrix.agent import Strategy
 from mediatrix.lang import Modality
 from mediatrix.scenario import (
     ParseError,
     ValidationError,
+    _position,
+    _scan,
     parse_scenario,
     serialize_scenario,
 )
@@ -162,3 +168,130 @@ class TestFuzzSafety:
     def test_garbage_raises_parse_or_validation_error(self, blob):
         with pytest.raises((ParseError, ValidationError)):
             parse_scenario(blob)
+
+
+# The eager tokenizer the on-demand scanner replaced, kept as a reference:
+# one Python step per match, with running line and column counts.
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<nl>\n)
+  | (?P<number>\d+(\.\d+)?|\.\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_]+)*)
+  | (?P<arrow>:-)
+  | (?P<punct>[()\[\],.:;=~])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(value)
+        else:
+            tokens.append((kind, value, line, col))
+            col += len(value)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def scanned(text: str) -> tuple[list[tuple[str, str, int, int]], ParseError | None]:
+    """(kind, text, line, col) of the scanned tokens up to eof, and the error that ended the scan early."""
+    tokens = []
+    try:
+        for kind, value, at in _scan(text):
+            tokens.append((kind, value, *_position(text, at)))
+            if kind == "eof":
+                return tokens, None
+    except ParseError as error:
+        return tokens, error
+
+
+# criterion 7's fuzz alphabet, read as Latin-1, with the other blanks
+FUZZ_ALPHABET = (b"abXY[]().,:;=~#0123 \n\"'-_" + bytes(range(0, 256, 37))).decode("latin-1") + "\t\r"
+SHIPPED_TEXTS = [p.read_text() for p in sorted(SCENARIOS.glob("*.med"))]
+
+
+@st.composite
+def mutated_scenarios(draw) -> str:
+    """A shipped scenario, truncated, with a few characters replaced."""
+    text = draw(st.sampled_from(SHIPPED_TEXTS))
+    text = text[: draw(st.integers(0, len(text)))]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(st.sampled_from(FUZZ_ALPHABET)) + text[pos + 1 :]
+    return text
+
+
+class TestScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(FUZZ_ALPHABET, max_size=40), mutated_scenarios()))
+    def test_matches_the_eager_tokenizer(self, text):
+        tokens, error = scanned(text)
+        try:
+            expected = reference_tokenize(text)
+        except ParseError as bad:
+            assert error is not None
+            assert (str(error), error.line, error.col) == (str(bad), bad.line, bad.col)
+            line_start = sum(len(line) + 1 for line in text.split("\n")[: bad.line - 1])
+            expected = reference_tokenize(text[: line_start + bad.col - 1])[:-1]
+        else:
+            assert error is None
+        assert tokens == expected
+
+    def test_eof_repeats(self):
+        scan = _scan("a # comment")
+        assert [next(scan) for _ in range(3)] == [("ident", "a", 0), ("eof", "", 11), ("eof", "", 11)]
+
+    def test_reads_only_up_to_the_first_error(self, monkeypatch):
+        class CountingPattern:
+            """Counts the tokens the parser pulls from the real pattern."""
+
+            def __init__(self, pattern):
+                self.pattern = pattern
+                self.reads = 0
+
+            def finditer(self, text):
+                for m in self.pattern.finditer(text):
+                    self.reads += 1
+                    yield m
+
+        counting = CountingPattern(scenario_module._TOKEN_RE)
+        monkeypatch.setattr(scenario_module, "_TOKEN_RE", counting)
+        valid_tail = "[a.9] bel a: can(X, p) :- have(X, q).\n" * 2_500  # 50,000 tokens
+        with pytest.raises(ParseError) as err:
+            parse_scenario("scenario demo;\nagent a; agent b;; mediator m;\n" + valid_tail)
+        assert err.value.line == 2
+        assert counting.reads <= 12  # the tokens up to the fault and a little lookahead
+
+    def test_first_error_in_file_order_wins(self):
+        head = ["scenario demo;", "agent a;", "[z.1] bel zeus: thunder(now).", "agent b;", "mediator m;"]
+        filler = [f"[a.{n}] bel a: p{n}." for n in range(6, 40)]
+        lines = head + filler + ["[a.40] bel a: p(a @ b)."]
+        with pytest.raises(ValidationError, match="zeus"):
+            parse_scenario("\n".join(lines))
+        del lines[2]
+        with pytest.raises(ParseError, match="'@'") as err:
+            parse_scenario("\n".join(lines))
+        assert err.value.line == 39
+
+
+class TestTermSharing:
+    def test_repeated_symbols_share_one_term(self):
+        s = parse_scenario(MINIMAL + "[a.2] bel a: can(X, sing) :- have(X, mic), not(hoarse(X)).\n")
+        rule = s.agents[0].unit("B").lookup("a.2")
+        assert rule.head.args[0] is rule.body[0].args[0] is rule.naf[0].args[0]
+        assert rule.head.args[1] is s.agents[0].unit("I").lookup("a.1").args[1]
