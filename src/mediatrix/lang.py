@@ -53,22 +53,32 @@ class Modality(Enum):
     INT = "int"
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Literal:
     predicate: str
-    args: tuple[Term, ...] = ()
-    positive: bool = True
-    modality: Modality = Modality.NONE
-    owner: Optional[Term] = None
+    args: tuple[Term, ...]
+    positive: bool
+    modality: Modality
+    owner: Optional[Term]
     # filled on first use by `__hash__`: a literal is hashed by every set and dict it meets
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.modality in (Modality.BEL, Modality.DES, Modality.INT):
-            if self.owner is None:
-                raise ValueError(f"{self.modality.value} literal needs an owner")
-        elif self.owner is not None:
+    def __init__(self, predicate: str, args: tuple[Term, ...] = (), positive: bool = True,
+                 modality: Modality = Modality.NONE, owner: Optional[Term] = None):
+        # written out: cheaper than the generated frozen `__init__` followed by `__post_init__`
+        if owner is None and modality is not Modality.NONE:
+            raise ValueError(f"{modality.value} literal needs an owner")
+        if owner is not None and modality is Modality.NONE:
             raise ValueError("plain literal cannot carry an owner")
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "positive", positive)
+        _set(self, "modality", modality)
+        _set(self, "owner", owner)
+        _set(self, "_hash", None)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -189,6 +199,11 @@ class Substitution:
 EMPTY_SUBSTITUTION = Substitution()
 
 
+def shape(lit: Literal) -> tuple:
+    """What `unify` compares before any term: literals of different shapes never unify."""
+    return (lit.modality, lit.positive, lit.predicate, len(lit.args), lit.owner is not None)
+
+
 def unify_terms(a: Term, b: Term, subst: Substitution) -> Optional[Substitution]:
     a, b = subst.resolve(a), subst.resolve(b)
     if a == b:
@@ -206,27 +221,25 @@ def unify(a: Literal, b: Literal, subst: Optional[Substitution] = None) -> Optio
     Modality, polarity, predicate and arity must match exactly; owners and
     arguments unify term-wise.
     """
-    if (a.modality, a.positive, a.predicate, len(a.args)) != (
-        b.modality,
-        b.positive,
-        b.predicate,
-        len(b.args),
-    ):
+    if shape(a) != shape(b):
         return None
     s = subst or EMPTY_SUBSTITUTION
-    if (a.owner is None) != (b.owner is None):
-        return None
-    if a.owner is not None:
-        s2 = unify_terms(a.owner, b.owner, s)
-        if s2 is None:
+    pairs = zip(a.args, b.args) if a.owner is None else zip((a.owner, *a.args), (b.owner, *b.args))
+    for x, y in pairs:
+        s = unify_terms(x, y, s)
+        if s is None:
             return None
-        s = s2
-    for x, y in zip(a.args, b.args):
-        s2 = unify_terms(x, y, s)
-        if s2 is None:
-            return None
-        s = s2
     return s
+
+
+def may_unify(a: Literal, b: Literal) -> bool:
+    """False when no renaming unifies them: shapes differ, or a position holds two distinct constants."""
+    if shape(a) != shape(b):
+        return False
+    for x, y in zip((a.owner, *a.args), (b.owner, *b.args)):
+        if type(x) is Constant and type(y) is Constant and x.symbol != y.symbol:
+            return False
+    return True
 
 
 def apply(subst: Substitution, lit: Literal) -> Literal:

@@ -22,6 +22,8 @@ from .lang import (
     Term,
     Variable,
     is_var,
+    may_unify,
+    shape,
     unify,
 )
 
@@ -76,9 +78,9 @@ class Rule:
             for lit in self.body + self.naf:
                 vs |= lit.variables()
             object.__setattr__(self, "_variables", tuple(sorted(vs)))
-        s = Substitution({v: Variable(f"{v}_{tag}") for v in self._variables})
-        body, naf = tuple(s.apply(b) for b in self.body), tuple(s.apply(n) for n in self.naf)
-        return Rule(self.label, s.apply(self.head), body, naf, self.unit)
+        fresh = {v: Variable(f"{v}_{tag}") for v in self._variables}
+        body, naf = tuple(_fresh(b, fresh) for b in self.body), tuple(_fresh(n, fresh) for n in self.naf)
+        return Rule(self.label, _fresh(self.head, fresh), body, naf, self.unit)
 
     def canonical(self) -> tuple:
         """Key equal for rules identical up to variable renaming; computed once per rule."""
@@ -116,6 +118,13 @@ class Rule:
         return f"{self.head} :- {', '.join(parts)}."
 
 
+def _fresh(lit: Literal, fresh: dict[str, Variable]) -> Literal:
+    """The literal with each variable replaced by its fresh twin."""
+    owner = fresh[lit.owner.name] if type(lit.owner) is Variable else lit.owner
+    args = tuple(fresh[a.name] if type(a) is Variable else a for a in lit.args)
+    return Literal(lit.predicate, args, lit.positive, lit.modality, owner)
+
+
 class GeneralKind(Enum):
     OWNERSHIP = "ownership"          # give(X,Y,Z) transfers have(X,Z) to have(Y,Z)
     REDUCTION = "reduction"          # intending a conclusion intends its preconditions
@@ -145,11 +154,6 @@ def entry_canonical(item: Entry):
     if isinstance(item, Rule):
         return ("rule",) + item.canonical()
     return item
-
-
-def shape(lit: Literal) -> tuple:
-    """What `unify` compares before any term: literals of different shapes never unify."""
-    return (lit.modality, lit.positive, lit.predicate, len(lit.args), lit.owner is not None)
 
 
 # shapes of the ownership and transfer facts read by `ground_args`
@@ -444,13 +448,14 @@ class _Search:
         self.depth_hit = False
         self._tag = 0
 
-    def _renamed(self, candidates: list[tuple[int, str, Rule]]) -> Iterator[tuple[str, Rule]]:
-        """The candidates, renamed apart, then the tags of the rules after the last one."""
+    def _renamed(self, candidates: list, fits: Callable[[Rule], bool]) -> Iterator[tuple[str, Rule]]:
+        """The candidates that `fits` accepts, renamed apart; a skipped one still takes its tag."""
         passed = 0
         for ordinal, label, rule in candidates:
             self._tag += ordinal - passed + 1
             passed = ordinal + 1
-            yield label, rule.rename(self._tag)
+            if fits(rule):
+                yield label, rule.rename(self._tag)
         self._tag += self.index.rule_count - passed
 
     def solve(
@@ -467,7 +472,8 @@ class _Search:
             if s is not None:
                 yield s, frozenset([label]), (ProofStep("fact", label, fact),)
 
-        for label, r in self._renamed(self.index.heads.get(key, ())):
+        fits = lambda rule: may_unify(goal, rule.head)  # no renaming mends a constant clash
+        for label, r in self._renamed(self.index.heads.get(key, ()), fits):
             s = unify(goal, r.head, subst)
             if s is None:
                 continue
@@ -491,7 +497,7 @@ class _Search:
     # -- built-in schemes ------------------------------------------------
 
     def _candidate_rules(self, inner: Literal) -> Iterator[tuple[str, Rule, frozenset[str]]]:
-        """Renamed rules with a body literal of the inner atom's shape.
+        """Renamed rules with a body literal that may unify with the inner atom.
 
         Declared rules come first. Then, under the ownership principle, each
         ownership fact have(x, z) licenses the derived rule
@@ -500,7 +506,8 @@ class _Search:
         one for Y and one for its renaming, and is built only when x and z
         can match the giver and resource of the atom.
         """
-        for label, r in self._renamed(self.index.bodies.get(shape(inner), ())):
+        fits = lambda rule: any(may_unify(inner, b) for b in rule.body)
+        for label, r in self._renamed(self.index.bodies.get(shape(inner), ()), fits):
             yield label, r, frozenset([label])
         ownership = self.theory.general_of(GeneralKind.OWNERSHIP)
         if ownership is None:
@@ -544,10 +551,10 @@ class _Search:
         if reduction is None or goal.owner is None or is_var(subst.resolve(goal.owner)):
             return
         owner = subst.resolve(goal.owner)
-        inner = goal.atom()
+        inner = subst.apply(goal.atom())
         for label, r, charged in self._candidate_rules(inner):
             for b in r.body:
-                s = unify(subst.apply(inner), b, subst)
+                s = unify(inner, b, subst)
                 if s is None:
                     continue
                 head_goal = Literal(r.head.predicate, r.head.args, True, Modality.INT, owner)
@@ -686,7 +693,7 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     for _, label, rule in theory.shape_index().heads.get(shape(goal_atom), ()):
         # renaming keeps the key, and rules equal up to renaming unify alike
         key = rule.canonical()
-        if key in seen:
+        if key in seen or not may_unify(goal_atom, rule.head):
             continue
         seen.add(key)
         r = rule.rename(0)

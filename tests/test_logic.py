@@ -23,6 +23,7 @@ from mediatrix.lang import (
     apply,
     atom,
     intends,
+    may_unify,
     unify,
 )
 from mediatrix.agent import AgentState, GiveAction, plan
@@ -436,6 +437,18 @@ class TestShapeIndex:
         # one give -> have rule, from the one fact whose owner and resource match
         assert [label for label in renamed if label.endswith(">G.1")] == ["h4>G.1"]
 
+    def test_reduction_renames_only_the_rule_whose_constants_match(self, monkeypatch):
+        theory = Theory(
+            [(f"c{i}", rule(f"c{i}", atom("can", "X", f"g{i}"), atom("have", "X", f"r{i}"))) for i in range(10)]
+            + [("i3", intends("a", atom("can", "a", "g3")))],
+            [GeneralRule("G.2", GeneralKind.REDUCTION)],
+        )
+        renamed = _record_renames(monkeypatch)
+        proof = prove(theory, intends("a", atom("have", "a", "r3")))
+        assert proof is not None and proof.premises == frozenset({"c3", "i3", "G.2"})
+        # c0, c1 and c2 have the shape of have(a, r3), but r0, r1 and r2 clash with r3
+        assert renamed == ["c3"]
+
     def test_fresh_variable_names_follow_declaration_order(self):
         # r3 is reached after a failed nested search below r1, so its fresh
         # name counts every rule looked at before it, r2 and the ownership
@@ -459,6 +472,20 @@ class TestShapeIndex:
             "[fact f3] int a: can(a, hang)",
             "[reduction G.2] int a: have(a, T_19)",
         ]
+
+    def test_a_rule_skipped_for_a_constant_clash_still_takes_its_tag(self):
+        # r1 fits the shape of use(a, W, hammer) but not its constant, so it is never
+        # renamed; T in r2 is still named after r2's place in declaration order
+        theory = Theory(
+            [
+                ("f1", intends("a", atom("can", "a", "hang"))),
+                ("r1", rule("r1", atom("can", "X", "fly"), atom("use", "X", "U", "wing"))),
+                ("r2", rule("r2", atom("can", "X", "hang"), atom("use", "X", "T", "hammer"))),
+            ],
+            [GeneralRule("G.2", GeneralKind.REDUCTION)],
+        )
+        proof = prove(theory, intends("a", atom("use", "a", "W", "hammer")))
+        assert str(proof.conclusion) == "int a: use(a, T_4, hammer)"
 
 
 GOAL = ("g1", intends("a", atom("can", "a", "go")))
@@ -557,6 +584,18 @@ class TestPlanOptions:
         monkeypatch.setattr(Rule, "rename", lambda r, tag: renamed.append(r.label) or original(r, tag))
         assert [o.label for o in plan_options(theory, "a", atom("can", "a", "go"))] == ["d1"]
         assert renamed == ["d1"]
+
+    def test_rules_for_another_goal_constant_are_not_renamed(self, monkeypatch):
+        theory = Theory(
+            [
+                ("d1", rule("d1", atom("can", "X", "y"), atom("have", "X", "r"))),
+                ("d2", rule("d2", atom("can", "X", "x"), atom("have", "X", "h"))),
+                ("d3", rule("d3", atom("can", "Y", "y"), atom("tool", "Y"))),
+            ]
+        )
+        renamed = _record_renames(monkeypatch)
+        assert [o.label for o in plan_options(theory, "a", atom("can", "a", "x"))] == ["d2"]
+        assert renamed == ["d2"]
 
     def test_variable_resource_sets_the_flag(self):
         theory = Theory(
@@ -777,6 +816,26 @@ def test_equal_literals_hash_equal_and_the_cache_is_invisible(lit):
     assert hash(twin) == hash(lit)
     back = replace(lit.complement(), positive=lit.positive)
     assert back == lit and hash(back) == hash(lit)
+
+
+@settings(max_examples=300)
+@given(LITERALS, LITERALS, st.integers(min_value=0, max_value=50))
+def test_may_unify_rejects_only_pairs_no_renaming_unifies(a, b, tag):
+    if not may_unify(a, b):
+        assert unify(a, b) is None
+        assert unify(a, Rule("r", b).rename(tag).head) is None
+
+
+def test_literal_owner_checks_keep_their_messages():
+    for modality in (Modality.BEL, Modality.DES, Modality.INT):
+        with pytest.raises(ValueError, match=rf"^{modality.value} literal needs an owner$"):
+            Literal("p", (), True, modality)
+        with pytest.raises(ValueError, match=rf"^{modality.value} literal needs an owner$"):
+            replace(atom("p", "a"), modality=modality)
+    with pytest.raises(ValueError, match=r"^plain literal cannot carry an owner$"):
+        Literal("p", (Constant("a"),), owner=Constant("b"))
+    with pytest.raises(ValueError, match=r"^plain literal cannot carry an owner$"):
+        replace(intends("b", atom("p", "a")), modality=Modality.NONE)
 
 
 def test_pickle_does_not_carry_the_cached_hash():
