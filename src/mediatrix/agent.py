@@ -123,6 +123,10 @@ class ResourceDecl:
 UNITS = ("B", "D", "I")
 
 
+class _Ranked(tuple):
+    """Resources already sorted by value and checked to lie in [0, 1]."""
+
+
 @dataclass(frozen=True)
 class AgentState:
     id: str
@@ -137,7 +141,9 @@ class AgentState:
     fresh: int = 0
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.resources, key=lambda r: (r[1], r[0])))
+        if type(self.resources) is _Ranked:  # kept by a `replace` that changes other fields
+            return
+        ordered = _Ranked(sorted(self.resources, key=lambda r: (r[1], r[0])))
         object.__setattr__(self, "resources", ordered)
         for name, value in ordered:
             if not 0 <= value <= 1:

@@ -232,9 +232,10 @@ def unify(a: Literal, b: Literal, subst: Optional[Substitution] = None) -> Optio
     return s
 
 
-def may_unify(a: Literal, b: Literal) -> bool:
-    """False when no renaming unifies them: shapes differ, or a position holds two distinct constants."""
-    if shape(a) != shape(b):
+def may_unify(a: Literal, b: Literal, same_shape: bool = False) -> bool:
+    """False when no renaming unifies them: shapes differ, or a position holds two distinct
+    constants. A caller that took `b` from a shape index under `a`'s shape passes `same_shape`."""
+    if not same_shape and shape(a) != shape(b):
         return False
     for x, y in zip((a.owner, *a.args), (b.owner, *b.args)):
         if type(x) is Constant and type(y) is Constant and x.symbol != y.symbol:

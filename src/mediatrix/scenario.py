@@ -33,6 +33,7 @@ MODALITY_KEYWORDS = {"bel": Modality.BEL, "des": Modality.DES, "int": Modality.I
 UNIT_OF_MODALITY = {Modality.BEL: "B", Modality.DES: "D", Modality.INT: "I"}
 BRIDGE_KINDS = set(ALL_BRIDGES)
 CONFIG_KEYS = ("max_rounds", "stall_threshold", "proof_depth")
+DIRECTIVES = ("scenario", "agent", "mediator", "strategy", "resource", "general", "bridge", "config")
 # principles and bridges that parse but change no behaviour
 INERT_KINDS = (GeneralKind.UNICITY.value, GeneralKind.BENEVOLENCE.value, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE)
 
@@ -90,9 +91,9 @@ def _position(text: str, at: int) -> tuple[int, int]:
 _Tok = tuple[str, str, int]  # (kind, text, offset)
 
 
-def _scan(text: str) -> Iterator[_Tok]:
-    """(kind, text, offset) tokens, read on demand; `eof` repeats forever."""
-    for m in _TOKEN_RE.finditer(text):
+def _scan(text: str, pos: int = 0) -> Iterator[_Tok]:
+    """(kind, text, offset) tokens from offset `pos`, read on demand; `eof` repeats forever."""
+    for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
         if kind == "eof":
             break
@@ -101,6 +102,21 @@ def _scan(text: str) -> Iterator[_Tok]:
             raise ParseError(f"unexpected character {text[at]!r}", *_position(text, at))
         yield kind, m.group(kind), m.start(kind)
     yield from repeat(("eof", "", len(text)))
+
+
+# A whole `[label] bel|des|int owner: head.` or `… : head :- b1, …, bn.` of plain
+# literals. Each identifier ends where the tokenizer's would (maximal munch), a body
+# literal is not `not(…)`, the final `.` starts no number; comments are not matched.
+_END = r"(?![A-Za-z0-9_]|\.[A-Za-z0-9_])"
+_ID = r"[A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*" + _END  # after its first character
+_S = r"[ \t\r\n]*"
+_LIT = rf"[a-z_]{_ID}{_S}(?:\({_S}[A-Za-z_]{_ID}{_S}(?:,{_S}[A-Za-z_]{_ID}{_S})*\){_S})?"
+_BODY_LIT = rf"(?!not{_S}\(){_LIT}"
+_FORMULA_RE = re.compile(
+    rf"\[{_S}(?P<label>[A-Za-z_]{_ID}){_S}\]{_S}(?P<tag>bel|des|int){_END}{_S}(?P<owner>[A-Za-z_]{_ID}){_S}:{_S}"
+    rf"(?P<formula>{_LIT}(?P<arrow>:-{_S}{_BODY_LIT}(?:,{_S}{_BODY_LIT})*)?)\.(?!\d)"
+)
+_LITERAL_RE = re.compile(rf"([A-Za-z0-9_.]+){_S}(?:\(([^)]*)\))?")  # within a matched formula
 
 
 # ----------------------------------------------------------------------
@@ -176,23 +192,23 @@ class _Parser:
     def statement(self) -> None:
         tok_kind, word, _ = self.peek()
         if tok_kind == "punct" and word == "[":
-            self.labelled_formula()
+            if self.ahead or not self.matched_formula():
+                self.labelled_formula()
             return
         if tok_kind != "ident":
             raise self.fail(f"unexpected {word!r}", ("a directive or formula",))
+        if word not in DIRECTIVES:
+            self.labelled_formula()
+            return
+        self.next()
         if word == "scenario":
-            self.next()
             self.name = self.expect("ident")[1]
-            self.expect("punct", ";")
         elif word in ("agent", "mediator"):
-            self.next()
             ident = self.expect("ident")[1]
             if ident in self.participants:
                 raise ValidationError(f"duplicate participant id {ident!r}")
             self.participants[ident] = _Participant(ident, word == "mediator")
-            self.expect("punct", ";")
         elif word == "strategy":
-            self.next()
             ident = self.expect("ident")[1]
             self.expect("punct", "=")
             value = self.expect("ident")[1]
@@ -200,9 +216,7 @@ class _Parser:
                 self.participant(ident).strategy = Strategy(value)
             except ValueError:
                 raise self.fail(f"unknown strategy {value!r}", ("eager", "cautious"))
-            self.expect("punct", ";")
         elif word == "resource":
-            self.next()
             owner = self.expect("ident")[1]
             name = self.expect("ident")[1]
             self.expect("punct", "=")
@@ -211,9 +225,7 @@ class _Parser:
             if not 0 <= value <= 1:
                 raise ValidationError(f"resource value out of [0, 1]: {owner} {name} = {num}")
             self.participant(owner).resources.append((name, value))
-            self.expect("punct", ";")
         elif word == "general":
-            self.next()
             label = self.expect("ident")[1]
             kind_tok = self.expect("ident")
             try:
@@ -227,19 +239,15 @@ class _Parser:
                 owner = self.expect("ident")[1]
                 self.expect("punct", ")")
             self.general.append(GeneralRule(label, kind, owner))
-            self.expect("punct", ";")
             self._flag_inert(word, label, kind_tok[1])
         elif word == "bridge":
-            self.next()
             label = self.expect("ident")[1]
             kind_tok = self.expect("ident")
             if kind_tok[1] not in BRIDGE_KINDS:
                 raise self.fail(f"unknown bridge rule {kind_tok[1]!r}", tuple(sorted(BRIDGE_KINDS)), kind_tok)
             self.bridges.append((label, kind_tok[1]))
-            self.expect("punct", ";")
             self._flag_inert(word, label, kind_tok[1])
         elif word == "config":
-            self.next()
             key = self.expect("ident")[1]
             if key not in CONFIG_KEYS:
                 raise self.fail(f"unknown config key {key!r}", CONFIG_KEYS)
@@ -251,9 +259,7 @@ class _Parser:
             if value <= 0:
                 raise ValidationError(f"config {key} must be a positive integer")
             setattr(self.config, key, value)
-            self.expect("punct", ";")
-        else:
-            self.labelled_formula()
+        self.expect("punct", ";")
 
     def _flag_inert(self, directive: str, label: str, kind: str) -> None:
         if kind in INERT_KINDS:
@@ -272,31 +278,55 @@ class _Parser:
         modality, owner = self.modal_prefix()
         if modality is None:
             raise self.fail("formula must start with a unit tag", ("bel", "des", "int"))
-        if not isinstance(owner, Constant) or owner.symbol not in self.participants:
-            raise ValidationError(f"formula owner {owner} is not a declared participant")
-        p = self.participant(owner.symbol)
-        unit = UNIT_OF_MODALITY[modality]
+        p = self.owner(owner)
         if label is None:
-            n = self._auto_label.get(owner.symbol, 0) + 1
-            self._auto_label[owner.symbol] = n
-            label = f"{owner.symbol}.{n}"
+            self._auto_label[p.id] = n = self._auto_label.get(p.id, 0) + 1
+            label = f"{p.id}.{n}"
 
         head = self.literal()
-        if self.accept("arrow"):
-            body, naf = self.rule_body()
-            self.expect("punct", ".")
+        rule = self.rule_body() if self.accept("arrow") else None
+        self.expect("punct", ".")
+        self.add_formula(p, UNIT_OF_MODALITY[modality], label, head, rule)
+
+    def matched_formula(self) -> bool:
+        """Take a labelled formula of plain literals in one `_FORMULA_RE` match.
+
+        False leaves it, unread and unrecorded, to the token grammar, which raises every error."""
+        m = _FORMULA_RE.match(self.text, self.tok[2])
+        if m is None:
+            return False
+        literals = [
+            Literal(pred, tuple(self.term(a.strip()) for a in args.split(",")) if args else ())
+            for pred, args in _LITERAL_RE.findall(self.text, m.start("formula"), m.end("formula"))
+        ]
+        try:
+            p = self.owner(self.term(m["owner"]))
+            rule = (tuple(literals[1:]), ()) if m["arrow"] else None
+            self.add_formula(p, UNIT_OF_MODALITY[MODALITY_KEYWORDS[m["tag"]]], m["label"], literals[0], rule)
+        except ValidationError:
+            return False
+        self.tokens = _scan(self.text, m.end())
+        self.tok = next(self.tokens)
+        return True
+
+    def owner(self, owner: Optional[Term]) -> _Participant:
+        if not isinstance(owner, Constant) or owner.symbol not in self.participants:
+            raise ValidationError(f"formula owner {owner} is not a declared participant")
+        return self.participants[owner.symbol]
+
+    def add_formula(self, p: _Participant, unit: str, label: str, head: Literal, rule: Optional[tuple]) -> None:
+        """Record a fact, or a rule when `rule` holds its body and naf literals."""
+        entry: Entry = head
+        if rule is not None:
             if head.modality is not Modality.NONE:
                 raise ValidationError(f"rule {label}: rule heads are plain literals")
-            rule = Rule(label, head, tuple(body), tuple(naf), unit=unit)
-            if not rule.range_restricted():
+            entry = Rule(label, head, *rule, unit=unit)
+            if not entry.range_restricted():
                 raise ValidationError(f"rule {label} is not range-restricted")
-            p.units[unit].append((label, rule))
-        else:
-            self.expect("punct", ".")
-            if unit == "I" and head.modality is Modality.NONE and head.positive:
-                if head.predicate not in ("have", "give"):
-                    p.goal_labels.append(label)
-            p.units[unit].append((label, head))
+        elif unit == "I" and head.modality is Modality.NONE and head.positive:
+            if head.predicate not in ("have", "give"):
+                p.goal_labels.append(label)
+        p.units[unit].append((label, entry))
 
     def modal_prefix(self) -> tuple[Optional[Modality], Optional[Term]]:
         kind, word, _ = self.peek()
@@ -327,7 +357,7 @@ class _Parser:
             return Literal(predicate, tuple(args), positive)
         return Literal(predicate, tuple(args), positive, modality, owner)
 
-    def rule_body(self) -> tuple[list[Literal], list[Literal]]:
+    def rule_body(self) -> tuple[tuple[Literal, ...], tuple[Literal, ...]]:
         body: list[Literal] = []
         naf: list[Literal] = []
         while True:
@@ -340,7 +370,7 @@ class _Parser:
                 body.append(self.literal())
             if not self.accept("punct", ","):
                 break
-        return body, naf
+        return tuple(body), tuple(naf)
 
     def term(self, text: str) -> Term:
         """One term object per distinct symbol in the file."""

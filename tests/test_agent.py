@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from mediatrix.agent import (
     intends_to_keep,
     plan,
 )
+from mediatrix import agent as agent_module
 from mediatrix import logic
 from mediatrix.argumentation import Verdict, construct_argument, evaluate
 from mediatrix.lang import Literal, Modality, atom, intends, modal
@@ -81,6 +83,17 @@ class TestAgentState:
     def test_resource_value_range_checked(self):
         with pytest.raises(ValueError):
             make_beta(resources=(("mirror", Fraction(2)),))
+
+    def test_only_updates_that_change_resources_sort_them(self, monkeypatch):
+        sorts = []
+        monkeypatch.setattr(agent_module, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k), raising=False)
+        beta = make_beta()
+        assert len(sorts) == 1
+        assert replace(beta, fresh=3).resources == beta.resources and len(sorts) == 1
+        received = agent_module._apply_transfer(beta, GiveAction("alpha", "beta", "hammer"))
+        assert [r[0] for r in received.resources] == ["hammer", "mirror", "nail"] and len(sorts) == 2
+        with pytest.raises(ValueError, match=r"resource value out of \[0, 1\]: mirror=2"):
+            replace(beta, resources=(("mirror", Fraction(2)),))
 
     def test_delta_wraps_intentions(self):
         delta = make_beta().delta()

@@ -236,6 +236,19 @@ def mutated_scenarios(draw) -> str:
     return text
 
 
+class CountingPattern:
+    """Counts the tokens the parser pulls from the real pattern."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.reads = 0
+
+    def finditer(self, text, pos=0):
+        for m in self.pattern.finditer(text, pos):
+            self.reads += 1
+            yield m
+
+
 class TestScan:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(FUZZ_ALPHABET, max_size=40), mutated_scenarios()))
@@ -257,18 +270,6 @@ class TestScan:
         assert [next(scan) for _ in range(3)] == [("ident", "a", 0), ("eof", "", 11), ("eof", "", 11)]
 
     def test_reads_only_up_to_the_first_error(self, monkeypatch):
-        class CountingPattern:
-            """Counts the tokens the parser pulls from the real pattern."""
-
-            def __init__(self, pattern):
-                self.pattern = pattern
-                self.reads = 0
-
-            def finditer(self, text):
-                for m in self.pattern.finditer(text):
-                    self.reads += 1
-                    yield m
-
         counting = CountingPattern(scenario_module._TOKEN_RE)
         monkeypatch.setattr(scenario_module, "_TOKEN_RE", counting)
         valid_tail = "[a.9] bel a: can(X, p) :- have(X, q).\n" * 2_500  # 50,000 tokens
@@ -295,3 +296,99 @@ class TestTermSharing:
         rule = s.agents[0].unit("B").lookup("a.2")
         assert rule.head.args[0] is rule.body[0].args[0] is rule.naf[0].args[0]
         assert rule.head.args[1] is s.agents[0].unit("I").lookup("a.1").args[1]
+
+    def test_a_formula_matched_whole_shares_terms_too(self):
+        s = parse_scenario(MINIMAL + "[a.2] bel a: can(X, sing) :- have(X, mic), near(mic, X).\n")
+        rule = s.agents[0].unit("B").lookup("a.2")
+        assert rule.head.args[0] is rule.body[0].args[0] is rule.body[1].args[1]
+        assert rule.head.args[1] is s.agents[0].unit("I").lookup("a.1").args[1]
+
+
+def outcome(text: str) -> tuple:
+    """The scenario, its serialized form and warnings, or the error's type and message."""
+    try:
+        s = parse_scenario(text)
+    except (ParseError, ValidationError) as error:
+        return type(error).__name__, str(error)
+    return s, serialize_scenario(s), s.warnings
+
+
+def token_grammar_outcome(text: str) -> tuple:
+    """`outcome` with the whole-statement match switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "_FORMULA_RE", re.compile(r"(?!)"))
+        return outcome(text)
+
+
+# lines in the shape of bench/family.py's generated files
+FAMILY_LINES = [
+    "[a.1] int a: can(a, goal_a).",
+    "[a.7] bel a: near(a_c445, a_c177).",
+    "[a.8] bel a: have(a, r310).",
+    "[a.9] bel a: can(X, goal_a) :- have(X, r310), have(X, r977).",
+    "[a.10] bel a: a_f0(X, Z) :- likes(X, Y), stored_in(Y, Z).",
+    "[b.2] bel b: have(m, r310).",
+    "[M.1] bel m: can(X, goal_b) :- have(X, r205).",
+    "resource a r310 = 0.5;",
+]
+# characters that sit on the edges of the statement pattern
+EDGE_CHARS = ".5:-#()[],~ \n\f_Xa"
+
+
+@st.composite
+def family_texts(draw) -> str:
+    """A small scenario of generated-family lines, truncated, with a few characters replaced."""
+    lines = draw(st.lists(st.sampled_from(FAMILY_LINES), max_size=8))
+    text = MINIMAL + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    text = text[: draw(st.integers(len(MINIMAL), len(text)))]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(len(MINIMAL), len(text)))
+        text = text[:pos] + draw(st.sampled_from(EDGE_CHARS)) + text[pos + 1 :]
+    return text
+
+
+class TestWholeStatementMatch:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(family_texts(), mutated_scenarios()))
+    def test_same_scenario_or_error_as_the_token_grammar(self, text):
+        assert outcome(text) == token_grammar_outcome(text)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "[x.1] bel a: p.q",  # `p.q` is one identifier, so `.` is still expected
+            "[x.1] bel a: p(c).5",  # `.5` is a number
+            "[x.1] bel a: p(c.d",  # `c.d` is one identifier
+            "[x.1] bel a: p(c, # note\n d).",
+            "[x.1] bel a :- q(c).",  # `:-` is not the owner's `:`
+            "[x.1] bel a: int a: p(X) :- q(X).",
+            "[x.1] bel zeus: p(c).",
+            "[x.1] bel a: p(X) :- q(c).",
+            "[x.1] bel a: p(c).\n[x.1] bel a: q(c).",
+            "[x.1] bel a: p(X) :- q(X), not(r).",  # negation as failure, not a predicate `not`
+            "[x.1] bel a: p(X) :- q(X), not (r(X)).",
+            "[x.1] bel a: not(c).",
+            "[x.1] bel a:\fp(c).",  # a blank the tokenizer rejects
+            "[x.1] bel a: nothing(X) :- q(X), not.x(X).",
+            "[x.1] bel X: p(c).",
+            "[x.1] bel a: P(c).",
+        ],
+    )
+    def test_edge_cases_agree_with_the_token_grammar(self, tail):
+        assert outcome(MINIMAL + tail) == token_grammar_outcome(MINIMAL + tail)
+
+    def test_identifier_ends_where_the_tokenizer_ends_it(self):
+        kind, message = outcome(MINIMAL + "[x.1] bel a: p.q")
+        assert (kind, message) == ("ParseError", "8:17: unexpected end of input (expected .)")
+
+    def test_one_token_read_per_matched_formula(self, monkeypatch):
+        counting = CountingPattern(scenario_module._TOKEN_RE)
+        monkeypatch.setattr(scenario_module, "_TOKEN_RE", counting)
+        formulas = [
+            f"[a.{n}] bel a: near(a_c{n}, a_c{n + 1})." if n % 4 else f"[a.{n}] bel a: can(X, g) :- have(X, r{n})."
+            for n in range(2, 2_502)
+        ]
+        s = parse_scenario(MINIMAL + "\n".join(formulas) + "\n")
+        assert len(s.agents[0].unit("B").entries()) == 2_500
+        # only the token after each formula is scanned; the token grammar reads about 13 per formula
+        assert counting.reads <= 2_500 + 20
