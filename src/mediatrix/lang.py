@@ -232,11 +232,9 @@ def unify(a: Literal, b: Literal, subst: Optional[Substitution] = None) -> Optio
     return s
 
 
-def may_unify(a: Literal, b: Literal, same_shape: bool = False) -> bool:
-    """False when no renaming unifies them: shapes differ, or a position holds two distinct
-    constants. A caller that took `b` from a shape index under `a`'s shape passes `same_shape`."""
-    if not same_shape and shape(a) != shape(b):
-        return False
+def may_unify(a: Literal, b: Literal) -> bool:
+    """False when a position holds two distinct constants, so no renaming unifies them.
+    Callers compare shapes; a False answer is sound whether or not the shapes are equal."""
     for x, y in zip((a.owner, *a.args), (b.owner, *b.args)):
         if type(x) is Constant and type(y) is Constant and x.symbol != y.symbol:
             return False

@@ -472,7 +472,7 @@ class _Search:
             if s is not None:
                 yield s, frozenset([label]), (ProofStep("fact", label, fact),)
 
-        fits = lambda rule: may_unify(goal, rule.head, True)  # no renaming mends a constant clash
+        fits = lambda rule: may_unify(goal, rule.head)  # no renaming mends a constant clash
         for label, r in self._renamed(self.index.heads.get(key, ()), fits):
             s = unify(goal, r.head, subst)
             if s is None:
@@ -507,7 +507,7 @@ class _Search:
         can match the giver and resource of the atom.
         """
         key = shape(inner)
-        fits = lambda rule: any(shape(b) == key and may_unify(inner, b, True) for b in rule.body)
+        fits = lambda rule: any(shape(b) == key and may_unify(inner, b) for b in rule.body)
         for label, r in self._renamed(self.index.bodies.get(key, ()), fits):
             yield label, r, frozenset([label])
         ownership = self.theory.general_of(GeneralKind.OWNERSHIP)
@@ -694,7 +694,7 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     for _, label, rule in theory.shape_index().heads.get(shape(goal_atom), ()):
         # renaming keeps the key, and rules equal up to renaming unify alike
         key = rule.canonical()
-        if key in seen or not may_unify(goal_atom, rule.head, True):
+        if key in seen or not may_unify(goal_atom, rule.head):
             continue
         seen.add(key)
         r = rule.rename(0)

@@ -33,7 +33,6 @@ MODALITY_KEYWORDS = {"bel": Modality.BEL, "des": Modality.DES, "int": Modality.I
 UNIT_OF_MODALITY = {Modality.BEL: "B", Modality.DES: "D", Modality.INT: "I"}
 BRIDGE_KINDS = set(ALL_BRIDGES)
 CONFIG_KEYS = ("max_rounds", "stall_threshold", "proof_depth")
-DIRECTIVES = ("scenario", "agent", "mediator", "strategy", "resource", "general", "bridge", "config")
 # principles and bridges that parse but change no behaviour
 INERT_KINDS = (GeneralKind.UNICITY.value, GeneralKind.BENEVOLENCE.value, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE)
 
@@ -67,12 +66,14 @@ class Scenario:
 # Blanks, newlines and comments are a skipped prefix of every match, so
 # each match is one token; `bad` catches the first character no token
 # starts with, and `eof` matches once the rest of the text is skipped.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*"
+_BLANK = r"[ \t\r\n]"
 _TOKEN_RE = re.compile(
-    r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
+    rf"""
+    (?:{_BLANK}+|\#[^\n]*)*
     (?:
       (?P<number>\d+(?:\.\d+)?|\.\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
+    | (?P<ident>{_IDENT})
     | (?P<arrow>:-)
     | (?P<punct>[()\[\],.:;=~])
     | (?P<eof>\Z)
@@ -105,18 +106,19 @@ def _scan(text: str, pos: int = 0) -> Iterator[_Tok]:
 
 
 # A whole `[label] bel|des|int owner: head.` or `… : head :- b1, …, bn.` of plain
-# literals. Each identifier ends where the tokenizer's would (maximal munch), a body
-# literal is not `not(…)`, the final `.` starts no number; comments are not matched.
+# literals, built from the tokenizer's fragments. Each identifier ends where the
+# tokenizer's longest match would end it (`_END`), a body literal is not `not(…)`,
+# the final `.` starts no number; comments are not matched.
 _END = r"(?![A-Za-z0-9_]|\.[A-Za-z0-9_])"
-_ID = r"[A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*" + _END  # after its first character
-_S = r"[ \t\r\n]*"
-_LIT = rf"[a-z_]{_ID}{_S}(?:\({_S}[A-Za-z_]{_ID}{_S}(?:,{_S}[A-Za-z_]{_ID}{_S})*\){_S})?"
+_ID = _IDENT + _END
+_S = _BLANK + "*"
+_LIT = rf"(?![A-Z]){_ID}{_S}(?:\({_S}{_ID}{_S}(?:,{_S}{_ID}{_S})*\){_S})?"
 _BODY_LIT = rf"(?!not{_S}\(){_LIT}"
 _FORMULA_RE = re.compile(
-    rf"\[{_S}(?P<label>[A-Za-z_]{_ID}){_S}\]{_S}(?P<tag>bel|des|int){_END}{_S}(?P<owner>[A-Za-z_]{_ID}){_S}:{_S}"
+    rf"\[{_S}(?P<label>{_ID}){_S}\]{_S}(?P<tag>bel|des|int){_END}{_S}(?P<owner>{_ID}){_S}:{_S}"
     rf"(?P<formula>{_LIT}(?P<arrow>:-{_S}{_BODY_LIT}(?:,{_S}{_BODY_LIT})*)?)\.(?!\d)"
 )
-_LITERAL_RE = re.compile(rf"([A-Za-z0-9_.]+){_S}(?:\(([^)]*)\))?")  # within a matched formula
+_LITERAL_RE = re.compile(rf"({_IDENT}){_S}(?:\(([^)]*)\))?")  # within a matched formula
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +199,17 @@ class _Parser:
             return
         if tok_kind != "ident":
             raise self.fail(f"unexpected {word!r}", ("a directive or formula",))
-        if word not in DIRECTIVES:
-            self.labelled_formula()
-            return
-        self.next()
         if word == "scenario":
+            self.next()
             self.name = self.expect("ident")[1]
         elif word in ("agent", "mediator"):
+            self.next()
             ident = self.expect("ident")[1]
             if ident in self.participants:
                 raise ValidationError(f"duplicate participant id {ident!r}")
             self.participants[ident] = _Participant(ident, word == "mediator")
         elif word == "strategy":
+            self.next()
             ident = self.expect("ident")[1]
             self.expect("punct", "=")
             value = self.expect("ident")[1]
@@ -217,6 +218,7 @@ class _Parser:
             except ValueError:
                 raise self.fail(f"unknown strategy {value!r}", ("eager", "cautious"))
         elif word == "resource":
+            self.next()
             owner = self.expect("ident")[1]
             name = self.expect("ident")[1]
             self.expect("punct", "=")
@@ -226,6 +228,7 @@ class _Parser:
                 raise ValidationError(f"resource value out of [0, 1]: {owner} {name} = {num}")
             self.participant(owner).resources.append((name, value))
         elif word == "general":
+            self.next()
             label = self.expect("ident")[1]
             kind_tok = self.expect("ident")
             try:
@@ -241,6 +244,7 @@ class _Parser:
             self.general.append(GeneralRule(label, kind, owner))
             self._flag_inert(word, label, kind_tok[1])
         elif word == "bridge":
+            self.next()
             label = self.expect("ident")[1]
             kind_tok = self.expect("ident")
             if kind_tok[1] not in BRIDGE_KINDS:
@@ -248,6 +252,7 @@ class _Parser:
             self.bridges.append((label, kind_tok[1]))
             self._flag_inert(word, label, kind_tok[1])
         elif word == "config":
+            self.next()
             key = self.expect("ident")[1]
             if key not in CONFIG_KEYS:
                 raise self.fail(f"unknown config key {key!r}", CONFIG_KEYS)
@@ -259,6 +264,9 @@ class _Parser:
             if value <= 0:
                 raise ValidationError(f"config {key} must be a positive integer")
             setattr(self.config, key, value)
+        else:
+            self.labelled_formula()
+            return
         self.expect("punct", ";")
 
     def _flag_inert(self, directive: str, label: str, kind: str) -> None:
@@ -410,9 +418,7 @@ class _Parser:
                 )
             )
         m = mediators[0]
-        entries = list(m.units["B"])
-        for unit in ("D", "I"):
-            entries.extend(m.units[unit])
+        entries = m.units["B"] + m.units["D"] + m.units["I"]
         try:
             theory = Theory(entries, general)
         except ValueError as exc:
@@ -480,9 +486,7 @@ def serialize_scenario(scenario: Scenario) -> bytes:
     for a in scenario.agents:
         lines.append(f"strategy {a.id} = {a.strategy.value};")
     c = scenario.config
-    lines.append(f"config max_rounds = {c.max_rounds};")
-    lines.append(f"config stall_threshold = {c.stall_threshold};")
-    lines.append(f"config proof_depth = {c.proof_depth};")
+    lines.extend(f"config {key} = {getattr(c, key)};" for key in CONFIG_KEYS)
     lines.append("")
     general = scenario.agents[0].general if scenario.agents else scenario.mediator.theory.general
     for g in general:

@@ -24,7 +24,6 @@ from mediatrix.lang import (
     atom,
     intends,
     may_unify,
-    shape,
     unify,
 )
 from mediatrix.agent import AgentState, GiveAction, plan
@@ -825,15 +824,6 @@ def test_may_unify_rejects_only_pairs_no_renaming_unifies(a, b, tag):
     if not may_unify(a, b):
         assert unify(a, b) is None
         assert unify(a, Rule("r", b).rename(tag).head) is None
-
-
-@settings(max_examples=300)
-@given(LITERALS, LITERALS)
-def test_may_unify_of_the_same_shape_skips_only_the_shape_compare(a, b):
-    owner = None if a.owner is None else b.owner or a.owner
-    b = Literal(a.predicate, (b.args + a.args)[: len(a.args)], a.positive, a.modality, owner)  # a's shape, b's terms
-    assert shape(a) == shape(b)
-    assert may_unify(a, b, True) == may_unify(a, b)
 
 
 def test_literal_owner_checks_keep_their_messages():
