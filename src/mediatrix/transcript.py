@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Optional
+from json.encoder import encode_basestring_ascii
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 SCHEMA_VERSION = 1
 
@@ -77,71 +78,63 @@ class Transcript:
     final_ownership: tuple[tuple[str, tuple[str, ...]], ...]  # (agent, sorted resources)
 
 
-def _plain(obj):
-    """Records as JSON data: a record becomes a dict in field order, a tuple a list."""
-    if is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, tuple):
-        return [_plain(v) for v in obj]
-    return obj
+def _write(value, out: list[str], pad: str, opening: str = "{") -> None:
+    """Append `value` to `out` as `json.dumps` writes it with `indent=2` at indent `pad`.
+
+    A tuple is a list; a record is an object of its fields in declaration
+    order, which `opening` "," appends to an object already opened.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, tuple):
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            if isinstance(item, str):  # most items: written here, not by a call
+                out.append(sep + encode_basestring_ascii(item))
+            else:
+                out.append(sep)
+                _write(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]" if value else "[]")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):  # before int: a bool is an int
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        inner = pad + "  "
+        sep = opening + "\n" + inner
+        for f in fields(value):
+            out.append(f"{sep}{encode_basestring_ascii(f.name)}: ")
+            _write(getattr(value, f.name), out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+
+
+def _read(kind, data):
+    """Rebuild a value of type `kind` from its JSON data, led by the records' type hints."""
+    if is_dataclass(kind):
+        return kind(**{name: _read(hint, data[name]) for name, hint in get_type_hints(kind).items()})
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        if args[-1] is Ellipsis:  # tuple[X, ...]
+            args = (args[0],) * len(data)
+        return tuple(_read(a, item) for a, item in zip(args, data, strict=True))
+    if get_origin(kind) is Union:  # Optional[record]
+        return None if data is None else _read(args[0], data)
+    return data
 
 
 def to_dict(t: Transcript) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **_plain(t)}
+    return json.loads(serialize_transcript(t, "json"))
 
 
 def from_dict(d: dict) -> Transcript:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported transcript schema: {d.get('schema_version')!r}")
-
-    def sol(s) -> Optional[SolutionRecord]:
-        if s is None:
-            return None
-        return SolutionRecord(
-            tuple(ArgumentRecord(a["conclusion"], tuple(a["support"])) for a in s["arguments"]),
-            tuple(s["transfers"]),
-            tuple((a, r) for a, r in s["plans"]),
-        )
-
-    rounds = []
-    for r in d["rounds"]:
-        neg = r["negotiation"]
-        rounds.append(
-            Round(
-                number=r["number"],
-                disclosures=tuple((a, tuple(items)) for a, items in r["disclosures"]),
-                revision_delta=tuple(r["revision_delta"]),
-                new_knowledge=r["new_knowledge"],
-                solution=sol(r["solution"]),
-                proposals=tuple(
-                    ProposalRecord(
-                        p["agent"],
-                        p["accepted"],
-                        tuple(
-                            DecisionRecord(x["conclusion"], x["verdict"], tuple(x["explanation"]))
-                            for x in p["decisions"]
-                        ),
-                    )
-                    for p in r["proposals"]
-                ),
-                negotiation=None
-                if neg is None
-                else NegotiationRecord(
-                    neg["rejecting_agent"],
-                    sol(neg["repaired"]),
-                    neg["accepted"],
-                    tuple((a, tuple(ls)) for a, ls in neg["explanations"]),
-                ),
-                messages=tuple(MessageRecord(**m) for m in r["messages"]),
-            )
-        )
-    return Transcript(
-        scenario_name=d["scenario_name"],
-        outcome=d["outcome"],
-        reason=d["reason"],
-        rounds=tuple(rounds),
-        final_ownership=tuple((a, tuple(rs)) for a, rs in d["final_ownership"]),
-    )
+    return _read(Transcript, d)
 
 
 def render_text(t: Transcript) -> str:
@@ -185,7 +178,9 @@ def render_text(t: Transcript) -> str:
 def serialize_transcript(t: Transcript, format: str = "json") -> bytes:
     """Stable serialization; json carries a schema version field."""
     if format == "json":
-        return (json.dumps(to_dict(t), indent=2, sort_keys=False) + "\n").encode("utf-8")
+        out = ['{\n  "schema_version": %d' % SCHEMA_VERSION]
+        _write(t, out, "", opening=",")
+        return ("".join(out) + "\n").encode("ascii")
     if format == "text":
         return render_text(t).encode("utf-8")
     raise ValueError(f"unknown transcript format {format!r}")

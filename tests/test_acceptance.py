@@ -13,7 +13,7 @@ from mediatrix.lang import atom, intends
 from mediatrix.mediator import IncoherentInput, mediate
 from mediatrix.oracle import oracle_diff
 from mediatrix.scenario import ParseError, ValidationError, parse_scenario, serialize_scenario
-from mediatrix.transcript import from_dict, serialize_transcript, to_dict
+from mediatrix.transcript import from_dict, parse_transcript, serialize_transcript, to_dict
 
 from conftest import SCENARIOS, load_scenario
 from generators import make_case, make_scenario
@@ -163,6 +163,7 @@ def test_criterion_8_round_trips(capsys):
         assert from_dict(to_dict(out.transcript)) == out.transcript
         data = serialize_transcript(out.transcript, "json")
         assert serialize_transcript(from_dict(to_dict(out.transcript)), "json") == data
+        assert parse_transcript(data) == out.transcript
         checked += 1
     assert checked >= 50
     report(

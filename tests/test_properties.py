@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
+import re
+from dataclasses import fields, is_dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,21 @@ from mediatrix.argumentation import construct_argument, minimality_check
 from mediatrix.lang import apply, atom, unify
 from mediatrix.logic import InconsistentTheory, Rule, Theory, consistent, forward_chain
 from mediatrix.mediator import IncoherentInput, mediate, revise
-from mediatrix.transcript import from_dict, serialize_transcript, to_dict
+from mediatrix.transcript import (
+    SCHEMA_VERSION,
+    ArgumentRecord,
+    DecisionRecord,
+    MessageRecord,
+    NegotiationRecord,
+    ProposalRecord,
+    Round,
+    SolutionRecord,
+    Transcript,
+    from_dict,
+    parse_transcript,
+    serialize_transcript,
+    to_dict,
+)
 
 from generators import make_case, make_scenario
 
@@ -149,6 +166,73 @@ def test_transcript_json_round_trip(seed):
     except (RealismViolation, IncoherentInput):
         return
     assert from_dict(to_dict(out.transcript)) == out.transcript
+    data = serialize_transcript(out.transcript, "json")
+    assert data == reference_json(out.transcript)
+    assert parse_transcript(data) == out.transcript
+
+
+def _plain(obj):
+    """Records as JSON data: a record becomes a dict in field order, a tuple a list."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def reference_json(t: Transcript) -> bytes:
+    """The JSON transcript as `json.dumps` writes it: the reference for the one-walk writer."""
+    return (json.dumps({"schema_version": SCHEMA_VERSION, **_plain(t)}, indent=2) + "\n").encode("utf-8")
+
+
+# labels with what JSON must escape: quotes, backslashes, control and
+# non-ASCII characters, astral ones and lone surrogates
+labels = st.text(st.characters(exclude_categories=()), max_size=6) | st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800", "\udfff", "😀"]),
+    max_size=6,
+)
+
+
+def tuples(items):
+    return st.lists(items, max_size=2).map(tuple)
+
+
+owned = tuples(st.tuples(labels, tuples(labels)))
+solutions = st.builds(
+    SolutionRecord,
+    tuples(st.builds(ArgumentRecord, labels, tuples(labels))),
+    tuples(labels),
+    tuples(st.tuples(labels, labels)),
+)
+proposals = st.builds(
+    ProposalRecord, labels, st.booleans(), tuples(st.builds(DecisionRecord, labels, labels, tuples(labels)))
+)
+negotiations = st.builds(NegotiationRecord, labels, st.none() | solutions, st.booleans(), owned)
+rounds = st.builds(
+    Round,
+    st.integers() | st.sampled_from([10**6, 2**63, 10**30]),
+    owned,
+    tuples(labels),
+    st.booleans(),
+    st.none() | solutions,
+    tuples(proposals),
+    st.none() | negotiations,
+    tuples(st.builds(MessageRecord, labels, labels, labels, labels)),
+)
+transcripts = st.builds(Transcript, labels, labels, labels, tuples(rounds), owned)
+# JSON reads the escapes of a high surrogate and a low one after it as one character
+SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+@settings(max_examples=200, deadline=None)
+@given(transcripts)
+def test_transcript_json_matches_json_dumps_and_reads_back(t):
+    data = serialize_transcript(t, "json")
+    assert data == reference_json(t)
+    back = parse_transcript(data)
+    assert serialize_transcript(back, "json") == data
+    if not SURROGATE_PAIR.search(json.dumps(_plain(t), ensure_ascii=False)):
+        assert back == t
 
 
 @settings(max_examples=150, deadline=None)
