@@ -84,7 +84,7 @@ class Message:
     kind: MessageKind
     sender: str
     receiver: str
-    payload: object  # literal, (items, literal) for tell, GiveAction, or Decision
+    payload: object  # (items, conclusion) for tell, GiveAction for ask, give and reject
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.sender} -> {self.receiver}: {self.payload})"
@@ -92,9 +92,7 @@ class Message:
 
 @dataclass(frozen=True)
 class Plan:
-    goal: Literal
     rule_label: str
-    rule: Rule
     preconditions: tuple[Literal, ...]
     unmet: tuple[Literal, ...]
     transfers: tuple[GiveAction, ...]
@@ -214,7 +212,7 @@ def plan(agent: AgentState, goal: Literal) -> list[Plan]:
             if owner and owner != agent.id:
                 transfers.append(GiveAction(owner, agent.id, res))
         unmet += o.missing
-        plans.append(Plan(goal, o.label, o.rule, o.preconditions, tuple(unmet), tuple(transfers)))
+        plans.append(Plan(o.label, o.preconditions, tuple(unmet), tuple(transfers)))
 
     plans.sort(key=lambda p: (len(p.unmet), len(p.transfers), p.rule_label))
     return [replace(p, selected=(i == 0)) for i, p in enumerate(plans)]
@@ -297,20 +295,18 @@ def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, li
 
 
 def _absorb_tell(agent: AgentState, msg: Message) -> AgentState:
-    items, conclusion = msg.payload if isinstance(msg.payload, tuple) else ((), msg.payload)
+    items, conclusion = msg.payload
     labelled: list[tuple[str, Entry]] = []
     for item in items:
         agent, label = agent._next_label("T:")
         labelled.append((label, item))
     if labelled:
         agent = agent.with_unit("B", agent.unit("B").extended(labelled))
-    if conclusion is not None:
-        agent, label = agent._next_label("T:")
-        name = "B"
-        if conclusion.modality is Modality.INT and conclusion.owner == Constant(agent.id):
-            name, conclusion = "I", Literal(conclusion.predicate, conclusion.args, conclusion.positive)
-        agent = agent.with_unit(name, agent.unit(name).extended([(label, conclusion)]))
-    return agent
+    agent, label = agent._next_label("T:")
+    name = "B"
+    if conclusion.modality is Modality.INT and conclusion.owner == Constant(agent.id):
+        name, conclusion = "I", Literal(conclusion.predicate, conclusion.args, conclusion.positive)
+    return agent.with_unit(name, agent.unit(name).extended([(label, conclusion)]))
 
 
 def _generous(agent: AgentState) -> bool:

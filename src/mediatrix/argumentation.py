@@ -128,8 +128,7 @@ def construct_argument(
         if smaller is not None:
             working = set(smaller.premises)
             best = smaller
-    support_theory = delta.restricted(working)
-    if not consistent((), support_theory):
+    if not consistent(delta.restricted(working)):
         return None
     return Argument(_support_items(delta, working), best.conclusion, best)
 
@@ -137,15 +136,14 @@ def construct_argument(
 def minimality_check(
     arg: Argument,
     delta: Theory,
-    bound: int = EXACT_MINIMALITY_BOUND,
     depth: int = DEFAULT_PROOF_DEPTH,
 ) -> bool:
     """True iff no proper subset of the support proves the conclusion.
 
-    Exact subset enumeration up to `bound` support items; above the bound a
-    greedy single-removal check is used and logged as approximate.
+    Exact subset enumeration up to EXACT_MINIMALITY_BOUND support items;
+    above it a greedy single-removal check is used and logged as approximate.
     """
-    labels = sorted(arg.labels())
+    labels, bound = sorted(arg.labels()), EXACT_MINIMALITY_BOUND
     if len(labels) > bound:
         log.warning("support of size %d exceeds bound %d; approximate check", len(labels), bound)
         subsets: Iterable[tuple[str, ...]] = (

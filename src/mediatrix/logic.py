@@ -55,7 +55,6 @@ class Rule:
     head: Literal
     body: tuple[Literal, ...] = ()
     naf: tuple[Literal, ...] = ()  # absence conditions, negation-as-failure
-    unit: Optional[str] = None
     # filled on first use by `rename` and `canonical`; slots keep them out of a per-rule __dict__
     _variables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _canonical: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -80,7 +79,7 @@ class Rule:
             object.__setattr__(self, "_variables", tuple(sorted(vs)))
         fresh = {v: Variable(f"{v}_{tag}") for v in self._variables}
         body, naf = tuple(_fresh(b, fresh) for b in self.body), tuple(_fresh(n, fresh) for n in self.naf)
-        return Rule(self.label, _fresh(self.head, fresh), body, naf, self.unit)
+        return Rule(self.label, _fresh(self.head, fresh), body, naf)
 
     def canonical(self) -> tuple:
         """Key equal for rules identical up to variable renaming; computed once per rule."""
@@ -190,7 +189,7 @@ class Theory:
         self._by_label: dict[str, Entry] = {}
         self._keys: set = set()
         self.general: tuple[GeneralRule, ...] = tuple(general)
-        self._fixpoint_cache: Optional[dict[Literal, "Proof"]] = None
+        self._fixpoint_cache: Optional[dict[Literal, None]] = None
         self._shape_index: Optional[ShapeIndex] = None
         self._clash: Union[Literal, None, bool] = False  # False until `clash` has looked
         for label, item in entries:
@@ -334,24 +333,16 @@ class Proof:
 # ----------------------------------------------------------------------
 
 
-def _match_body(
-    body: tuple[Literal, ...],
-    base: dict[Literal, Proof],
-    subst: Substitution,
-) -> Iterator[tuple[Substitution, list[Literal]]]:
+def _match_body(body: tuple[Literal, ...], facts: dict, subst: Substitution) -> Iterator[Substitution]:
+    """Extensions of `subst` that match each body literal, in order, to a fact."""
     if not body:
-        yield subst, []
+        yield subst
         return
     first, rest = body[0], body[1:]
-    for fact in base:
-        s = unify(subst.apply(first), fact)
-        if s is None:
-            continue
-        merged = subst
-        for v, t in s.items():
-            merged = merged.bind(Variable(v), t)
-        for s2, used in _match_body(rest, base, merged):
-            yield s2, [fact] + used
+    for fact in facts:
+        s = unify(first, fact, subst)
+        if s is not None:
+            yield from _match_body(rest, facts, s)
 
 
 def _naf_holds(conds: tuple[Literal, ...], subst: Substitution, stratum: dict) -> bool:
@@ -362,68 +353,57 @@ def _naf_holds(conds: tuple[Literal, ...], subst: Substitution, stratum: dict) -
     return True
 
 
-def forward_chain(theory: Theory) -> dict[Literal, Proof]:
-    """Least fixpoint of ground facts derivable from the theory's rules.
+def forward_chain(theory: Theory) -> dict[Literal, None]:
+    """Least model of the theory: its ground facts, declared ones first, in derivation order.
 
     Two-pass stratified evaluation: rules without absence conditions are
     saturated first; absence conditions are then checked against that
-    positive fixpoint, and saturation continues with all rules. Every
-    derived fact carries a proof. Raises InconsistentTheory when the
-    fixpoint contains a complementary pair.
+    positive fixpoint, and saturation continues with all rules. Only the
+    backward search builds proofs. Raises InconsistentTheory, naming the
+    first literal added whose complement is already held.
     """
-    base: dict[Literal, Proof] = {}
+    facts: dict[Literal, None] = {}  # ordered, so the literal a clash names never varies
 
-    def add(lit: Literal, proof: Proof) -> bool:
-        if lit in base:
-            return False
-        if lit.complement() in base:
+    def add(lit: Literal) -> None:
+        if lit.complement() in facts:
             raise InconsistentTheory(lit)
-        base[lit] = proof
-        return True
+        facts[lit] = None
 
-    for label, fact in theory.facts():
-        add(fact, Proof(fact, frozenset([label]), (ProofStep("fact", label, fact),)))
+    for _, fact in theory.facts():
+        if fact not in facts:
+            add(fact)
 
-    rules = theory.rules()
+    rules = [r for _, r in theory.rules()]
 
-    def saturate(active: list[tuple[str, Rule]], naf_stratum: Optional[dict]) -> None:
+    def saturate(active: list[Rule], stratum: dict) -> None:
         changed = True
         while changed:
             changed = False
-            for label, rule in active:
-                for subst, used in list(_match_body(rule.body, base, EMPTY_SUBSTITUTION)):
-                    if rule.naf:
-                        if naf_stratum is None or not _naf_holds(rule.naf, subst, naf_stratum):
-                            continue
-                    head = subst.apply(rule.head)
-                    if not head.is_ground() or head in base:
+            for rule in active:
+                for subst in list(_match_body(rule.body, facts, EMPTY_SUBSTITUTION)):
+                    if rule.naf and not _naf_holds(rule.naf, subst, stratum):
                         continue
-                    premises: set[str] = {label}
-                    steps: list[ProofStep] = []
-                    for f in used:
-                        premises |= base[f].premises
-                        steps.extend(base[f].steps)
-                    steps.append(ProofStep("rule", label, head))
-                    if add(head, Proof(head, frozenset(premises), tuple(steps))):
+                    head = subst.apply(rule.head)
+                    if head.is_ground() and head not in facts:
+                        add(head)
                         changed = True
 
-    saturate([(l, r) for l, r in rules if not r.naf], None)
-    if any(r.naf for _, r in rules):
-        saturate(rules, dict(base))  # absence conditions read the positive stratum
-    return base
+    saturate([r for r in rules if not r.naf], {})
+    if any(r.naf for r in rules):
+        saturate(rules, dict(facts))  # absence conditions read the positive stratum
+    return facts
 
 
-def consistent(facts: Iterable[Literal], theory: Theory) -> bool:
-    """True iff saturating the theory extended with the facts stays conflict-free."""
-    extended = theory.extended((f"_c{i}", f) for i, f in enumerate(facts))
+def consistent(theory: Theory) -> bool:
+    """True iff saturating the theory derives no literal together with its complement."""
     try:
-        forward_chain(extended)
+        forward_chain(theory)
     except InconsistentTheory:
         return False
     return True
 
 
-def _positive_stratum(theory: Theory) -> dict[Literal, Proof]:
+def _positive_stratum(theory: Theory) -> dict[Literal, None]:
     if theory._fixpoint_cache is None:
         positive = theory.filtered(lambda l, e: isinstance(e, Literal) or not e.naf)
         theory._fixpoint_cache = forward_chain(positive)
@@ -568,12 +548,15 @@ class _Search:
                     )
 
     def _solve_generosity(self, goal, subst):
-        """~int m: have(m, z) holds for a generous owner of z."""
-        generosity = self.theory.general_of(GeneralKind.GENEROSITY)
-        if generosity is None or goal.predicate != OWNS or len(goal.args) != 2:
+        """~int m: have(m, z) holds for a generous owner of z, charged to m's own declaration."""
+        if goal.predicate != OWNS or len(goal.args) != 2:
             return
         owner = subst.resolve(goal.owner) if goal.owner is not None else None
-        if not isinstance(owner, Constant) or owner.symbol != generosity.owner:
+        if not isinstance(owner, Constant):
+            return
+        kind = GeneralKind.GENEROSITY
+        generosity = next((g for g in self.theory.general if g.kind is kind and g.owner == owner.symbol), None)
+        if generosity is None:
             return
         want = Literal(OWNS, (owner, goal.args[1]))
         for label, fact in self.index.facts.get(HAVE, ()):
@@ -676,7 +659,6 @@ class PlanOption:
     """A rule instance concluding a goal, read against one agent's ownership."""
 
     label: str
-    rule: Rule
     preconditions: tuple[Literal, ...]
     needed: tuple[str, ...]  # resources of the agent's have/2 preconditions, body order
     missing: tuple[Literal, ...]  # other preconditions that are not ground facts
@@ -711,7 +693,7 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
                     open_resource = True
             elif not (p.is_ground() and theory.has_fact(p)):
                 missing.append(p)
-        out.append(PlanOption(label, r, preconds, tuple(needed), tuple(missing), open_resource))
+        out.append(PlanOption(label, preconds, tuple(needed), tuple(missing), open_resource))
     return out
 
 

@@ -70,9 +70,7 @@ class MediatorState:
 @dataclass(frozen=True)
 class MediatorPlan:
     agent: str
-    goal: Literal
     rule_label: str
-    preconditions: tuple[Literal, ...]
     needed: tuple[str, ...]  # resources the agent must hold for the plan
     unmet: tuple[str, ...]   # needed resources the agent does not hold yet
 
@@ -136,10 +134,7 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
 
 def _plans_for(gamma: Theory, agent: str, goal_atom: Literal, owned: set[str]) -> list[MediatorPlan]:
     plans = [
-        MediatorPlan(
-            agent, goal_atom, o.label, o.preconditions, o.needed,
-            tuple(r for r in o.needed if r not in owned),
-        )
+        MediatorPlan(agent, o.label, o.needed, tuple(r for r in o.needed if r not in owned))
         for o in plan_options(gamma, agent, goal_atom)
         if o.grounded
     ]
@@ -155,7 +150,6 @@ def _blocked_transfers(gamma: Theory) -> set[GiveAction]:
 def create_solution(
     gamma: Theory,
     goals: dict[str, Literal],
-    generous: Iterable[str] = (),
     exclude: Iterable[GiveAction] = (),
     depth: int = DEFAULT_PROOF_DEPTH,
 ) -> Optional[Solution]:
@@ -163,16 +157,17 @@ def create_solution(
 
     Agents are processed by id, plans in unique-choice order, and each
     unmet precondition is satisfied by a transfer from its owner, admitted
-    only when the owner is generous or the owner's own assigned plan does
-    not need the resource. The first feasible assignment yields the
-    solution; every transfer is backed by a freshly constructed argument.
+    only when gamma declares the owner generous or the owner's own
+    assigned plan does not need the resource. The first feasible
+    assignment yields the solution; every transfer is backed by a freshly
+    constructed argument.
     """
     if not goals:
         return None
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
-    generous = set(generous)
+    generous = gamma.generosity_owners()
     excluded = set(exclude) | _blocked_transfers(gamma)
 
     per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
@@ -294,13 +289,7 @@ class Mediation:
         return [l for l, _ in labelled]
 
     def _solve(self, exclude: Iterable[GiveAction] = ()) -> Optional[Solution]:
-        return create_solution(
-            self.gamma,
-            self.goals(),
-            generous=self.gamma.generosity_owners(),
-            exclude=exclude,
-            depth=self.config.proof_depth,
-        )
+        return create_solution(self.gamma, self.goals(), exclude, self.config.proof_depth)
 
     # -- protocol steps ------------------------------------------------
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 from .agent import AgentState, GiveAction
 from .lang import Constant, Literal, Modality
@@ -28,26 +27,24 @@ class Candidate:
 def brute_force_candidates(
     gamma: Theory,
     goals: dict[str, Literal],
-    generous: Iterable[str] = (),
-    exclude: Iterable[GiveAction] = (),
     depth: int = DEFAULT_PROOF_DEPTH,
 ) -> list[Candidate]:
     """Every admissible joint plan assignment with its forced transfers.
 
     A resource has a unique believed owner, so once plans are fixed the
     transfer set is forced; admissibility mirrors the planner: the donor
-    must exist, differ from the taker, be generous or not need the item
-    for its own assigned plan, the transfer must not be blocked, and a
-    transfer-intention argument must be provable. Each distinct transfer
-    is proved at most once per call.
+    must exist, differ from the taker, be declared generous in gamma or
+    not need the item for its own assigned plan, the transfer must not be
+    blocked, and a transfer-intention argument must be provable. Each
+    distinct transfer is proved at most once per call.
     """
     if not goals:
         return []
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
-    generous = set(generous)
-    excluded = set(exclude) | _blocked_transfers(gamma)
+    generous = gamma.generosity_owners()
+    blocked = _blocked_transfers(gamma)
     per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
     if any(not plans for plans in per_agent):
         return []
@@ -77,7 +74,7 @@ def brute_force_candidates(
                     ok = False
                     break
                 give = GiveAction(donor, p.agent, res)
-                if give in excluded or any(t.resource == res for t in transfers):
+                if give in blocked or any(t.resource == res for t in transfers):
                     ok = False
                     break
                 transfers.add(give)
@@ -93,13 +90,11 @@ def brute_force_candidates(
 def oracle_diff(
     gamma: Theory,
     goals: dict[str, Literal],
-    generous: Iterable[str] = (),
-    exclude: Iterable[GiveAction] = (),
     depth: int = DEFAULT_PROOF_DEPTH,
 ) -> list[str]:
     """Discrepancies between the planner and the enumerator; empty means agreement."""
-    candidates = brute_force_candidates(gamma, goals, generous, exclude, depth)
-    solution = create_solution(gamma, goals, generous, exclude, depth)
+    candidates = brute_force_candidates(gamma, goals, depth)
+    solution = create_solution(gamma, goals, depth=depth)
     diffs = []
     if solution is None:
         if candidates:
@@ -122,11 +117,10 @@ def oracle_diff(
     return diffs
 
 
-def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal], set[str]]:
-    """The mediator's theory after every agent disclosed everything.
+def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
+    """The mediator's theory after every agent disclosed everything, and one goal atom per agent.
 
-    Returns the combined theory, one goal atom per agent, and the set of
-    generous participants.
+    The theory's general principles say who is generous.
     """
     gamma = scenario.mediator.theory
     n = itertools.count(1)
@@ -147,9 +141,7 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal], set
                 goals[agent.id] = fact.atom()
         for decl in _resource_facts(agent):
             offer(decl)
-    gamma = gamma.extended(additions)
-    generous = gamma.generosity_owners()
-    return gamma, goals, generous
+    return gamma.extended(additions), goals
 
 
 def _intend(agent: AgentState, fact: Literal) -> Literal:
@@ -164,5 +156,4 @@ def _resource_facts(agent: AgentState) -> list[Literal]:
 
 def certify(scenario: Scenario, depth: int = DEFAULT_PROOF_DEPTH) -> list[str]:
     """Oracle verdict for a scenario under full disclosure."""
-    gamma, goals, generous = full_disclosure(scenario)
-    return oracle_diff(gamma, goals, generous, depth=depth)
+    return oracle_diff(*full_disclosure(scenario), depth=depth)

@@ -328,7 +328,7 @@ class _Parser:
         if rule is not None:
             if head.modality is not Modality.NONE:
                 raise ValidationError(f"rule {label}: rule heads are plain literals")
-            entry = Rule(label, head, *rule, unit=unit)
+            entry = Rule(label, head, *rule)
             if not entry.range_restricted():
                 raise ValidationError(f"rule {label} is not range-restricted")
         elif unit == "I" and head.modality is Modality.NONE and head.positive:
@@ -489,18 +489,9 @@ def serialize_scenario(scenario: Scenario) -> bytes:
     lines.extend(f"config {key} = {getattr(c, key)};" for key in CONFIG_KEYS)
     lines.append("")
     general = scenario.agents[0].general if scenario.agents else scenario.mediator.theory.general
-    for g in general:
-        owner = f"({g.owner})" if g.owner else ""
-        lines.append(f"general {g.label} {g.kind.value}{owner};")
-    bridge_labels = {
-        "advice": "R.1",
-        "advice_rule": "R.2",
-        "trust": "R.3",
-        "request": "R.4",
-        "accept_request": "R.5",
-    }
+    lines.extend(str(g) for g in general)
     for kind in sorted(scenario.agents[0].bridges if scenario.agents else ALL_BRIDGES):
-        lines.append(f"bridge {bridge_labels[kind]} {kind};")
+        lines.append(f"bridge R.{ALL_BRIDGES.index(kind) + 1} {kind};")
     lines.append("")
     for a in scenario.agents:
         for unit, tag in (("B", "bel"), ("D", "des"), ("I", "int")):

@@ -26,7 +26,7 @@ GENERAL_ALL = (
 
 
 def make_case(rng: random.Random):
-    """A mediator-view planning case: (gamma, goals, generous).
+    """A mediator-view planning case: (gamma, goals).
 
     Up to 6 resources spread over two agents and a mediator, up to 4 plan
     rules per agent needing up to 3 resources each, occasional blocked
@@ -34,7 +34,7 @@ def make_case(rng: random.Random):
     """
     resources = [f"r{i}" for i in range(1, rng.randint(2, 7))]
     owner_of = {r: rng.choice(AGENTS + (MEDIATOR, None)) for r in resources}
-    generous = {MEDIATOR} if rng.random() < 0.7 else set()
+    generous = rng.random() < 0.7
 
     entries: list[tuple[str, object]] = []
     n = 0
@@ -69,7 +69,7 @@ def make_case(rng: random.Random):
         add(intends(taker, atom("give", giver, taker, rng.choice(resources))).complement())
 
     general = GENERAL_ALL if generous else tuple(g for g in GENERAL_ALL if g.label != "G.3")
-    return Theory(entries, general), goals, generous
+    return Theory(entries, general), goals
 
 
 def make_scenario(rng: random.Random) -> Scenario:

@@ -140,6 +140,7 @@ class TestAttacks:
         # the conclusion is also a support fact here, so the counter both
         # rebuts and undercuts
         assert [a.kind for a in attacks] == [AttackKind.REBUT, AttackKind.UNDERCUT]
+        assert all(a.attacker is counter and a.target is pro for a in attacks)
 
     def test_undercut(self):
         pro_theory = Theory(
@@ -155,6 +156,7 @@ class TestAttacks:
         attacks = find_attacks(con, pro)
         assert [a.kind for a in attacks] == [AttackKind.UNDERCUT]
         assert attacks[0].point == atom("p", "a")
+        assert attacks[0].attacker is con and attacks[0].target is pro
 
     def test_no_attack_between_unrelated(self):
         a = construct_argument(Theory([("f1", atom("p", "a"))]), atom("p", "a"))

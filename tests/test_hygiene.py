@@ -83,3 +83,39 @@ def test_every_definition_is_read():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     readers = list(modules.values()) + [p.read_text() for p in TESTS.glob("*.py")]
     assert dead_definitions(modules, readers, used=set(mediatrix.__all__)) == []
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Dataclass fields in `modules` (name -> source) whose name no reader reads as an attribute."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, source in sorted(modules.items()):
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(_is_dataclass(d) for d in cls.decorator_list):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read:
+                        unread.append(f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})")
+    return unread
+
+
+def test_scan_finds_an_unread_field():
+    source = "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int\n\nclass Q:\n    c: int\n"
+    assert unread_fields({"m": source}, [source, "P(1, 2).a = 3\nprint(P(1, 2).b)"]) == ["m.P.a (line 3)"]
+
+
+def test_every_dataclass_field_is_read():
+    # transcript records are written and read generically, through `fields()`
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.stem != "transcript"}
+    # this file reads ast nodes' fields, whose names would hide unread ones
+    tests = [p for p in TESTS.glob("*.py") if p.name != Path(__file__).name]
+    readers = [p.read_text() for p in list(SRC.glob("*.py")) + tests]
+    assert unread_fields(modules, readers) == []

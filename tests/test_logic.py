@@ -160,17 +160,34 @@ class TestForwardChain:
         )
         assert atom("can", "alpha", "hang_picture") not in forward_chain(theory)
 
-    def test_proof_premises_recorded(self):
+    def test_declared_facts_then_derived_facts_in_derivation_order(self):
         theory = Theory(
             [
-                ("f1", atom("have", "alpha", "hammer")),
-                ("f2", atom("have", "alpha", "nail")),
-                ("f3", atom("have", "alpha", "picture")),
-                ("A.6", PICTURE_RULE),
+                ("r2", rule("r2", atom("s", "X"), atom("q", "X"))),
+                ("f1", atom("p", "b")),
+                ("r1", rule("r1", atom("q", "X"), atom("p", "X"))),
+                ("f2", atom("p", "a")),
             ]
         )
-        proof = forward_chain(theory)[atom("can", "alpha", "hang_picture")]
-        assert proof.premises == frozenset({"f1", "f2", "f3", "A.6"})
+        # each pass tries the rules in declaration order, each rule on the facts in store order
+        assert list(forward_chain(theory)) == [
+            atom("p", "b"), atom("p", "a"), atom("q", "b"), atom("q", "a"), atom("s", "b"), atom("s", "a")
+        ]
+
+    def test_inconsistency_names_the_first_clash_in_derivation_order(self):
+        theory = Theory(
+            [
+                ("f1", atom("p", "b")),
+                ("f2", atom("p", "a")),
+                ("r1", rule("r1", atom("s", "X").complement(), atom("p", "X"))),
+                ("r2", rule("r2", atom("s", "X"), atom("p", "X"))),
+            ]
+        )
+        # both s(b) and s(a) meet their complements; r2 reaches p(b) first
+        with pytest.raises(InconsistentTheory) as raised:
+            forward_chain(theory)
+        assert raised.value.literal == atom("s", "b")
+        assert str(raised.value) == "inconsistent theory: s(b) and its complement"
 
     def test_inconsistency_detected(self):
         theory = Theory(
@@ -333,6 +350,13 @@ class TestProve:
         proof = prove(gamma_full, goal)
         assert proof is not None
         assert {"M.1", "G.3"} <= set(proof.premises)
+
+    def test_generosity_honours_every_declaration(self, gamma_full):
+        general = gamma_full.general + (GeneralRule("G.8", GeneralKind.GENEROSITY, "beta"),)
+        theory = gamma_full.extended((), general)
+        for owner, resource, own, other in (("mu", "screwdriver", "G.3", "G.8"), ("beta", "nail", "G.8", "G.3")):
+            proof = prove(theory, intends(owner, atom("have", owner, resource)).complement())
+            assert proof is not None and own in proof.premises and other not in proof.premises, owner
 
     def test_refusal_requires_held_needed_resource(self):
         theory = Theory(
@@ -652,8 +676,8 @@ def test_fixpoint_monotone_under_fact_addition():
 
 def test_consistent_helper():
     theory = Theory([("f1", atom("dry", "lawn"))])
-    assert consistent([atom("wet", "lawn")], theory)
-    assert not consistent([atom("dry", "lawn").complement()], theory)
+    assert consistent(theory.extended([("f2", atom("wet", "lawn"))]))
+    assert not consistent(theory.extended([("f2", atom("dry", "lawn").complement())]))
 
 
 def test_range_restriction_enforced():
@@ -766,11 +790,10 @@ LITERALS = st.one_of(
     ),
 )
 RULES = st.builds(
-    lambda head, body, naf, unit: Rule("r", head, tuple(body), tuple(naf), unit),
+    lambda head, body, naf: Rule("r", head, tuple(body), tuple(naf)),
     LITERALS,
     st.lists(LITERALS, max_size=3),
     st.lists(LITERALS, max_size=2),
-    st.sampled_from([None, "B"]),
 )
 
 

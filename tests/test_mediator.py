@@ -72,7 +72,7 @@ class TestCreateSolution:
         }
 
     def test_case_study_three_transfers(self, gamma_full):
-        solution = create_solution(gamma_full, self.goals(), generous={"mu"})
+        solution = create_solution(gamma_full, self.goals())
         assert solution is not None
         assert set(solution.transfers) == {
             GiveAction("beta", "alpha", "nail"),
@@ -93,27 +93,21 @@ class TestCreateSolution:
             [l for l in gamma_full.labels() if l not in ("M.1", "M.2")]
             + [g.label for g in gamma_full.general]
         )
-        assert create_solution(gamma, self.goals(), generous={"mu"}) is None
+        assert create_solution(gamma, self.goals()) is None
 
     def test_blocked_transfer_excludes_assignment(self, gamma_full):
         blocked = intends("alpha", atom("give", "beta", "alpha", "nail")).complement()
         gamma = gamma_full.extended([("M.20", blocked)])
-        assert create_solution(gamma, self.goals(), generous={"mu"}) is None
+        assert create_solution(gamma, self.goals()) is None
 
     def test_explicit_exclusion(self, gamma_full):
-        solution = create_solution(
-            gamma_full,
-            self.goals(),
-            generous={"mu"},
-            exclude=[GiveAction("beta", "alpha", "nail")],
-        )
-        assert solution is None
+        assert create_solution(gamma_full, self.goals(), exclude=[GiveAction("beta", "alpha", "nail")]) is None
 
     def test_no_goals_no_solution(self, gamma_full):
         assert create_solution(gamma_full, {}) is None
 
     def test_feasibility_replay(self, gamma_full):
-        solution = create_solution(gamma_full, self.goals(), generous={"mu"})
+        solution = create_solution(gamma_full, self.goals())
         world = {
             "alpha": frozenset({"picture", "hammer", "screw"}),
             "beta": frozenset({"mirror", "nail"}),
@@ -225,7 +219,7 @@ class TestMediate:
 
 
 def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
-    gamma, goals, generous = oracle.full_disclosure(load_scenario("two_donor"))
+    gamma, goals = oracle.full_disclosure(load_scenario("two_donor"))
     proved = []
 
     def counting(theory, goal, depth):
@@ -233,7 +227,7 @@ def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
         return prove(theory, goal, depth)
 
     monkeypatch.setattr(oracle, "prove", counting)
-    candidates = oracle.brute_force_candidates(gamma, goals, generous)
+    candidates = oracle.brute_force_candidates(gamma, goals)
     transfers = {t for c in candidates for t in c.transfers}
     assert len(candidates) > len(transfers) > 0
     assert sorted(proved) == sorted(str(t.intention(t.receiver)) for t in transfers)

@@ -88,7 +88,7 @@ def test_revise_laws(base_facts, incoming):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_argument_minimality_and_consistency(seed):
     rng = random.Random(seed)
-    gamma, goals, _ = make_case(rng)
+    gamma, goals = make_case(rng)
     try:
         forward_chain(gamma)
     except InconsistentTheory:
@@ -99,7 +99,7 @@ def test_argument_minimality_and_consistency(seed):
             continue
         if len(arg.support) <= 10:
             assert minimality_check(arg, gamma), str(arg)
-        assert consistent((), gamma.restricted(arg.labels()))
+        assert consistent(gamma.restricted(arg.labels()))
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -129,10 +128,22 @@ class TestParse:
             parse_scenario(MINIMAL + "[z.1] bel zeus: thunder(now).\n")
 
 
+SHIPPED = sorted(SCENARIOS.glob("*.med"))
+MEDIATOR_RULES_UNDER_DES_AND_INT = b"""scenario tags; agent a; agent b; mediator m;
+[M.1] int m: can(X, go) :- have(X, key).
+[M.2] des m: can(X, stay) :- have(X, chair).
+[M.3] bel m: have(a, key).
+"""
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.med")), ids=lambda p: p.stem)
-    def test_shipped_fixture(self, path: Path):
-        first = parse_scenario(path.read_bytes())
+    @pytest.mark.parametrize(
+        "text",
+        [p.read_bytes() for p in SHIPPED] + [MEDIATOR_RULES_UNDER_DES_AND_INT],
+        ids=[p.stem for p in SHIPPED] + ["mediator_rules_under_des_and_int"],
+    )
+    def test_shipped_fixture(self, text: bytes):
+        first = parse_scenario(text)
         data = serialize_scenario(first)
         second = parse_scenario(data)
         assert first == second
@@ -222,7 +233,7 @@ def scanned(text: str) -> tuple[list[tuple[str, str, int, int]], ParseError | No
 
 # criterion 7's fuzz alphabet, read as Latin-1, with the other blanks
 FUZZ_ALPHABET = (b"abXY[]().,:;=~#0123 \n\"'-_" + bytes(range(0, 256, 37))).decode("latin-1") + "\t\r"
-SHIPPED_TEXTS = [p.read_text() for p in sorted(SCENARIOS.glob("*.med"))]
+SHIPPED_TEXTS = [p.read_text() for p in SHIPPED]
 
 
 @st.composite
