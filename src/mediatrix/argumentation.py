@@ -21,7 +21,6 @@ from .logic import (
     DepthExceeded,
     Entry,
     GeneralRule,
-    Proof,
     Theory,
     consistent,
     prove,
@@ -45,7 +44,6 @@ class SupportItem:
 class Argument:
     support: tuple[SupportItem, ...]
     conclusion: Literal
-    proof: Proof
 
     def labels(self) -> frozenset[str]:
         return frozenset(s.label for s in self.support)
@@ -86,18 +84,12 @@ class Decision:
             raise ValueError("a rejection must carry its counter-attack")
 
 
-def _support_items(delta: Theory, labels: Iterable[str]) -> tuple[SupportItem, ...]:
-    order = {l: i for i, (l, _) in enumerate(delta.entries())}
-    for g in delta.general:
-        order.setdefault(g.label, len(order) + 1000)
+def _support_items(delta: Theory, labels: Iterable[str], rank: dict[str, int]) -> tuple[SupportItem, ...]:
     resolved = []
-    for label in sorted(labels, key=lambda l: order.get(l, 10_000)):
+    for label in sorted(labels, key=rank.__getitem__):
         item = delta.lookup(label)
         if item is None:
-            gen = next((g for g in delta.general if g.label == label), None)
-            if gen is None:
-                raise ValueError(f"support label {label!r} not in source theory")
-            item = gen
+            item = next(g for g in delta.general if g.label == label)
         resolved.append(SupportItem(label, item))
     return tuple(resolved)
 
@@ -116,7 +108,7 @@ def construct_argument(
     if proof is None:
         return None
     working = set(proof.premises)
-    best = proof
+    conclusion = proof.conclusion
     order = delta.labels() + [g.label for g in delta.general]
     for label in reversed(order):
         if label not in working or len(working) == 1:
@@ -127,10 +119,12 @@ def construct_argument(
             smaller = None
         if smaller is not None:
             working = set(smaller.premises)
-            best = smaller
+            conclusion = smaller.conclusion
     if not consistent(delta.restricted(working)):
         return None
-    return Argument(_support_items(delta, working), best.conclusion, best)
+    # first occurrence wins: an entry outranks a general rule of the same label
+    rank = {label: i for i, label in enumerate(dict.fromkeys(order))}
+    return Argument(_support_items(delta, working, rank), conclusion)
 
 
 def minimality_check(

@@ -77,7 +77,7 @@ class Rule:
             for lit in self.body + self.naf:
                 vs |= lit.variables()
             object.__setattr__(self, "_variables", tuple(sorted(vs)))
-        fresh = {v: Variable(f"{v}_{tag}") for v in self._variables}
+        fresh = {v: Variable(f"{v}'{tag}") for v in self._variables}  # no scenario variable has a quote
         body, naf = tuple(_fresh(b, fresh) for b in self.body), tuple(_fresh(n, fresh) for n in self.naf)
         return Rule(self.label, _fresh(self.head, fresh), body, naf)
 
@@ -312,20 +312,9 @@ class Theory:
 
 
 @dataclass(frozen=True)
-class ProofStep:
-    kind: str  # fact | rule | reduction | ownership | generosity | refusal
-    label: str
-    derived: Literal
-
-    def __str__(self) -> str:
-        return f"[{self.kind} {self.label}] {self.derived}"
-
-
-@dataclass(frozen=True)
 class Proof:
     conclusion: Literal
     premises: frozenset[str]
-    steps: tuple[ProofStep, ...]
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +407,7 @@ def _positive_stratum(theory: Theory) -> dict[Literal, None]:
 class _Search:
     """One backward-chaining query; holds the depth flag and fresh-name tag.
 
+    Every answer is a substitution and the labels of the premises it used.
     Each pass over the rules advances the tag by one per non-fact rule, and
     a rule gets the tag of its place in declaration order, looked at or not.
     """
@@ -440,7 +430,7 @@ class _Search:
 
     def solve(
         self, goal: Literal, subst: Substitution, depth: int
-    ) -> Iterator[tuple[Substitution, frozenset[str], tuple[ProofStep, ...]]]:
+    ) -> Iterator[tuple[Substitution, frozenset[str]]]:
         if depth <= 0:
             self.depth_hit = True
             return
@@ -450,33 +440,32 @@ class _Search:
         for label, fact in self.index.facts.get(key, ()):
             s = unify(goal, fact, subst)
             if s is not None:
-                yield s, frozenset([label]), (ProofStep("fact", label, fact),)
+                yield s, frozenset([label])
 
         fits = lambda rule: may_unify(goal, rule.head)  # no renaming mends a constant clash
         for label, r in self._renamed(self.index.heads.get(key, ()), fits):
             s = unify(goal, r.head, subst)
             if s is None:
                 continue
-            for s2, prem, steps in self._solve_body(r.body, s, depth - 1):
+            for s2, prem in self._solve_body(r.body, s, depth - 1):
                 if r.naf and not _naf_holds(r.naf, s2, _positive_stratum(self.theory)):
                     continue
-                derived = s2.apply(r.head)
-                yield s2, prem | {label}, steps + (ProofStep("rule", label, derived),)
+                yield s2, prem | {label}
 
         yield from self._solve_meta(goal, subst, depth)
 
     def _solve_body(self, body, subst, depth):
         if not body:
-            yield subst, frozenset(), ()
+            yield subst, frozenset()
             return
         first, rest = body[0], body[1:]
-        for s, prem, steps in self.solve(first, subst, depth):
-            for s2, prem2, steps2 in self._solve_body(rest, s, depth):
-                yield s2, prem | prem2, steps + steps2
+        for s, prem in self.solve(first, subst, depth):
+            for s2, prem2 in self._solve_body(rest, s, depth):
+                yield s2, prem | prem2
 
     # -- built-in schemes ------------------------------------------------
 
-    def _candidate_rules(self, inner: Literal) -> Iterator[tuple[str, Rule, frozenset[str]]]:
+    def _candidate_rules(self, inner: Literal) -> Iterator[tuple[Rule, frozenset[str]]]:
         """Renamed rules with a body literal that may unify with the inner atom.
 
         Declared rules come first. Then, under the ownership principle, each
@@ -489,7 +478,7 @@ class _Search:
         key = shape(inner)
         fits = lambda rule: any(shape(b) == key and may_unify(inner, b) for b in rule.body)
         for label, r in self._renamed(self.index.bodies.get(key, ()), fits):
-            yield label, r, frozenset([label])
+            yield r, frozenset([label])
         ownership = self.theory.general_of(GeneralKind.OWNERSHIP)
         if ownership is None:
             return
@@ -507,13 +496,13 @@ class _Search:
             self._tag += 2
             if not (is_var(giver) or giver == x) or not (is_var(resource) or resource == z):
                 continue
-            recv = Variable(f"Y_{self._tag - 1}")
+            recv = Variable(f"Y'{self._tag - 1}")
             derived = Rule(
                 label=f"{label}>{ownership.label}",
                 head=Literal(OWNS, (recv, z)),
                 body=(Literal(GIVE, (x, recv, z)),),
             ).rename(self._tag)
-            yield derived.label, derived, frozenset([label, ownership.label])
+            yield derived, frozenset([label, ownership.label])
 
     def _solve_meta(self, goal, subst, depth):
         if goal.modality is Modality.INT and goal.positive:
@@ -533,19 +522,14 @@ class _Search:
             return
         owner = subst.resolve(goal.owner)
         inner = subst.apply(goal.atom())
-        for label, r, charged in self._candidate_rules(inner):
+        for r, charged in self._candidate_rules(inner):
             for b in r.body:
                 s = unify(inner, b, subst)
                 if s is None:
                     continue
                 head_goal = Literal(r.head.predicate, r.head.args, True, Modality.INT, owner)
-                for s2, prem, steps in self.solve(head_goal, s, depth - 1):
-                    derived = s2.apply(goal)
-                    yield (
-                        s2,
-                        prem | charged | {reduction.label},
-                        steps + (ProofStep("reduction", reduction.label, derived),),
-                    )
+                for s2, prem in self.solve(head_goal, s, depth - 1):
+                    yield s2, prem | charged | {reduction.label}
 
     def _solve_generosity(self, goal, subst):
         """~int m: have(m, z) holds for a generous owner of z, charged to m's own declaration."""
@@ -563,12 +547,7 @@ class _Search:
             s = unify(want, fact, subst)
             if s is None or fact.args[0] != owner:
                 continue
-            derived = s.apply(goal)
-            yield (
-                s,
-                frozenset([label, generosity.label]),
-                (ProofStep("generosity", generosity.label, derived),),
-            )
+            yield s, frozenset([label, generosity.label])
 
     def _solve_refusal(self, goal, subst, depth):
         """~int w: give(x, y, z) when x's committed plan needs z and x holds z.
@@ -591,7 +570,7 @@ class _Search:
         plan = select_plan(self.theory, giver.symbol)
         if plan is None:
             return
-        goal_label, goal_fact, rule_label, needed, several = plan
+        goal_label, rule_label, needed, several = plan
         if resource.symbol not in needed:
             return
         holding = Literal(OWNS, (giver, resource))
@@ -606,12 +585,7 @@ class _Search:
             choice = self.theory.general_of(GeneralKind.UNIQUE_CHOICE)
             if choice is not None:
                 premises.add(choice.label)
-        derived = subst.apply(goal)
-        yield (
-            subst,
-            frozenset(premises),
-            (ProofStep("refusal", parsimony.label, derived),),
-        )
+        yield subst, frozenset(premises)
 
 
 def base_goals(theory: Theory, agent: str) -> list[tuple[str, Literal]]:
@@ -697,10 +671,10 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     return out
 
 
-def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, Literal, str, set[str], bool]]:
+def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, str, set[str], bool]]:
     """Unique-choice plan commitment for the agent's first viable goal.
 
-    Returns (goal label, goal fact, rule label, needed resources, several)
+    Returns (goal label, rule label, needed resources, several)
     where `needed` lists the resources the selected plan requires the agent
     to hold and `several` flags that more than one candidate plan existed.
     A resource is met when the agent holds it or a transfer intention
@@ -712,7 +686,7 @@ def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, Literal, str,
         options = [o for o in plan_options(theory, agent, goal_fact.atom()) if o.grounded]
         if options:
             best = min(options, key=lambda o: (sum(r not in met for r in o.needed), o.label))
-            return goal_label, goal_fact, best.label, set(best.needed), len(options) > 1
+            return goal_label, best.label, set(best.needed), len(options) > 1
     return None
 
 
@@ -724,8 +698,8 @@ def prove(theory: Theory, goal: Literal, depth: int = DEFAULT_PROOF_DEPTH) -> Op
     proof was found.
     """
     search = _Search(theory)
-    for subst, premises, steps in search.solve(goal, EMPTY_SUBSTITUTION, depth):
-        return Proof(subst.apply(goal), premises, steps)
+    for subst, premises in search.solve(goal, EMPTY_SUBSTITUTION, depth):
+        return Proof(subst.apply(goal), premises)
     if search.depth_hit:
         raise DepthExceeded(f"no proof of {goal} within depth {depth}")
     return None

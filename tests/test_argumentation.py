@@ -81,7 +81,6 @@ class TestMinimality:
         padded = Argument(
             arg.support + (SupportItem("M.9", gamma_full.lookup("M.9")),),
             arg.conclusion,
-            arg.proof,
         )
         assert not minimality_check(padded, gamma_full)
 

@@ -93,6 +93,21 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "a goal a.1 (can(a, rest)): reachable" in out
 
+    def test_goal_variables_named_like_fresh_ones_stay_apart(self, tmp_path, capsys):
+        scenario = tmp_path / "capture.med"
+        scenario.write_text(
+            "scenario capture;\nagent a;\nagent b;\nmediator m;\n"
+            "[a.1] int a: p(Y_1, X_1).\n"
+            "[a.2] int a: p(V, U).\n"
+            "[a.3] bel a: q(a, b).\n"
+            "[a.4] bel a: p(X, Y) :- q(X, Y).\n"
+            "[b.1] int b: can(b, rest).\n"
+        )
+        assert main(["check", str(scenario)]) == 0
+        out = capsys.readouterr().out
+        assert "a goal a.1 (p(Y_1, X_1)): reachable" in out
+        assert "a goal a.2 (p(V, U)): reachable" in out
+
     def test_bound_hit_is_unknown(self, monkeypatch, capsys):
         monkeypatch.setenv("MEDIATRIX_PROOF_DEPTH", "1")
         assert main(["check", HOME]) == 0

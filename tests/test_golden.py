@@ -8,8 +8,8 @@
   error the run raised;
 - `oracle:<name>`: the JSON of `oracle.certify` on each scenario;
 - `proofs:<name>`: under full disclosure of each scenario, the first
-  proof (steps, premises, fresh-variable names) of every transfer
-  intention between its participants, or its absence.
+  proof (sorted premises and conclusion) of every transfer intention
+  between its participants, or its absence.
 
 Regenerate the file only for an intended change of output:
 
@@ -64,8 +64,7 @@ def _proofs(scenario) -> bytes:
                 if proof is None:
                     lines.append(f"{goal}: none")
                     continue
-                steps = "; ".join(map(str, proof.steps))
-                lines.append(f"{goal}: {sorted(proof.premises)} {steps}")
+                lines.append(f"{goal}: {sorted(proof.premises)} {proof.conclusion}")
     return "\n".join(lines).encode()
 
 
