@@ -1,0 +1,79 @@
+"""Work counts of the traced benchmark, written to or checked against a `BENCH_<n>.json`.
+
+Run from anywhere in a checkout:
+
+    python3 scripts/bench_counts.py BENCH_14.json   # write this checkout's counts
+    python3 scripts/bench_counts.py                 # check them against the newest BENCH_<n>.json
+
+Each of the four workloads runs traced for one second on seeds 1-3. A run
+is recorded as its output digest and every `.calls` count. Both are fixed
+for a seed, whatever the machine's speed, so the check requires exact
+equality. It exits 1 on any difference and on a run whose output the
+benchmark does not call correct.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("shipped", "scaled", "oracle", "parse")
+SEEDS = (1, 2, 3)
+COMMAND = "python3 bench/run.py --workload {workload} --seed {seed} --seconds 1 --trace 1"
+
+
+def measure(workload: str, seed: int) -> dict:
+    argv = COMMAND.format(workload=workload, seed=seed).split()
+    lines = subprocess.run(
+        [sys.executable, *argv[1:]], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.splitlines()
+    result = json.loads(lines[-1])
+    if result["correct"] is not True:
+        raise SystemExit(f"{workload} seed {seed}: the benchmark reports an incorrect output")
+    return {
+        "digest": re.search(r"digest ([0-9a-f]{64})", lines[0]).group(1),
+        "calls": {k: m["value"] for k, m in result["metrics"].items() if k.endswith(".calls")},
+    }
+
+
+def newest() -> Path:
+    numbered = [
+        (int(m.group(1)), p)
+        for p in ROOT.glob("BENCH_*.json")
+        if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))
+    ]
+    if not numbered:
+        raise SystemExit(f"no BENCH_<n>.json in {ROOT}")
+    return max(numbered)[1]
+
+
+def differences(want: dict, got: dict) -> list[str]:
+    out = []
+    for run in sorted(want.keys() | got.keys()):
+        w, g = want.get(run, {}), got.get(run, {})
+        if w.get("digest") != g.get("digest"):
+            out.append(f"{run}: digest {w.get('digest')} -> {g.get('digest')}")
+        wc, gc = w.get("calls", {}), g.get("calls", {})
+        out += [f"{run}: {k} {wc.get(k)} -> {gc.get(k)}" for k in sorted(wc.keys() | gc.keys()) if wc.get(k) != gc.get(k)]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    runs = {f"{w} seed {s}": measure(w, s) for w in WORKLOADS for s in SEEDS}
+    if argv:
+        Path(argv[0]).write_text(json.dumps({"command": COMMAND, "runs": runs}, indent=2) + "\n")
+        return 0
+    path = newest()
+    diffs = differences(json.loads(path.read_text())["runs"], runs)
+    for line in diffs:
+        print(line)
+    print(f"{len(runs)} runs, {len(diffs)} difference(s) from {path.name}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

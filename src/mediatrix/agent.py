@@ -27,6 +27,7 @@ from .logic import (
     believed_ownership,
     ground_args,
     holdings,
+    is_goal,
     plan_options,
 )
 
@@ -134,7 +135,6 @@ class AgentState:
     general: tuple[GeneralRule, ...] = ()
     bridges: frozenset[str] = frozenset(ALL_BRIDGES)
     disclosed: frozenset[str] = frozenset()
-    goal_labels: tuple[str, ...] = ()
     asked: frozenset[GiveAction] = frozenset()
     fresh: int = 0
 
@@ -155,13 +155,29 @@ class AgentState:
     def owned(self) -> set[str]:
         return {name for name, _ in self.resources}
 
+    def intention(self, fact: Literal) -> Literal:
+        """A fact of the intention unit as the agent's `int` literal."""
+        return replace(fact, modality=Modality.INT, owner=Constant(self.id))
+
+    def goals(self) -> list[tuple[str, Literal]]:
+        """The plain goal facts of the intention unit, in declaration order.
+
+        A run adds only `give` intentions and negated facts to the unit, so
+        the goals never change.
+        """
+        return [(l, f) for l, f in self.unit("I").facts() if f.modality is Modality.NONE and is_goal(f)]
+
+    def have_facts(self) -> list[tuple[str, Literal]]:
+        """The declared resources as `have` facts, labelled as disclosure labels them."""
+        return [(f"res:{name}", ResourceDecl(self.id, name, value).have()) for name, value in self.resources]
+
+    def generous(self) -> bool:
+        """Whether a general principle declares the agent generous."""
+        return any(g.kind is GeneralKind.GENEROSITY and g.owner == self.id for g in self.general)
+
     def delta(self) -> Theory:
         """The agent's reasoning theory: beliefs plus modally wrapped intentions."""
-        me = Constant(self.id)
-        intentions = [
-            (f"I:{label}", replace(fact, modality=Modality.INT, owner=me))
-            for label, fact in self.unit("I").facts()
-        ]
+        intentions = [(f"I:{label}", self.intention(fact)) for label, fact in self.unit("I").facts()]
         return self.unit("B").extended(intentions, self.general)
 
     def with_unit(self, name: str, theory: Theory) -> "AgentState":
@@ -236,11 +252,8 @@ def intends_to_keep(agent: AgentState, resource: str) -> bool:
     keep = Literal(OWNS, (Constant(agent.id), Constant(resource)))
     if agent.unit("I").has_fact(keep):
         return True
-    for label in agent.goal_labels:
-        goal = agent.unit("I").lookup(label)
-        if goal is None:
-            continue
-        for p in plan(agent, intends(Constant(agent.id), goal.atom())):
+    for _, goal in agent.goals():
+        for p in plan(agent, agent.intention(goal)):
             if p.selected and any(pre.predicate == OWNS and pre.args == keep.args for pre in p.preconditions):
                 return True
     return False
@@ -273,7 +286,7 @@ def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, li
             action = msg.payload
             if action.giver != agent.id:
                 continue
-            if _generous(agent) or not intends_to_keep(agent, action.resource):
+            if agent.generous() or not intends_to_keep(agent, action.resource):
                 agent, granted = _grant(agent, action)
                 if granted:
                     outbox.append(Message(MessageKind.GIVE, agent.id, action.receiver, action))
@@ -307,10 +320,6 @@ def _absorb_tell(agent: AgentState, msg: Message) -> AgentState:
     if conclusion.modality is Modality.INT and conclusion.owner == Constant(agent.id):
         name, conclusion = "I", Literal(conclusion.predicate, conclusion.args, conclusion.positive)
     return agent.with_unit(name, agent.unit(name).extended([(label, conclusion)]))
-
-
-def _generous(agent: AgentState) -> bool:
-    return any(g.kind is GeneralKind.GENEROSITY and g.owner == agent.id for g in agent.general)
 
 
 def _grant(agent: AgentState, action: GiveAction) -> tuple[AgentState, bool]:
@@ -370,7 +379,6 @@ def disclose(agent: AgentState, round_no: int) -> tuple[AgentState, list[Disclos
     """
     package: list[DisclosureItem] = []
     disclosed = set(agent.disclosed)
-    me = Constant(agent.id)
 
     def offer(label: str, payload) -> None:
         if label in disclosed:
@@ -379,17 +387,15 @@ def disclose(agent: AgentState, round_no: int) -> tuple[AgentState, list[Disclos
         package.append(DisclosureItem(label, payload))
 
     if round_no <= 1:
-        for label in agent.goal_labels:
-            fact = agent.unit("I").lookup(label)
-            if fact is not None:
-                offer(label, replace(fact, modality=Modality.INT, owner=me))
+        for label, fact in agent.goals():
+            offer(label, agent.intention(fact))
         return replace(agent, disclosed=frozenset(disclosed)), package
 
     if agent.strategy is Strategy.EAGER:
         for label, item in agent.unit("B").entries():
             offer(label, item)
         for label, fact in agent.unit("I").facts():
-            offer(label, replace(fact, modality=Modality.INT, owner=me))
+            offer(label, agent.intention(fact))
         for name, value in agent.resources:
             offer(f"res:{name}", ResourceDecl(agent.id, name, value))
     else:
@@ -422,10 +428,8 @@ def _lit_symbols(lit: Literal) -> set[str]:
 def _relevance_closure(agent: AgentState) -> set[str]:
     """Predicates and constants reachable from the goals through plan rules."""
     closure: set[str] = set()
-    for label in agent.goal_labels:
-        goal = agent.unit("I").lookup(label)
-        if goal is not None:
-            closure |= _lit_symbols(goal)
+    for _, goal in agent.goals():
+        closure |= _lit_symbols(goal)
     changed = True
     while changed:
         changed = False

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-    mediatrix run|check|oracle <file> [--format text|json] [--out PATH]
-             [--max-rounds N] [--stall N] [--verbosity quiet|normal|trace]
+    mediatrix run <file> [--format text|json] [--max-rounds N] [--stall N]
+                  [--out PATH] [--verbosity quiet|normal|trace]
+    mediatrix check|oracle <file> [--out PATH] [--verbosity quiet|normal|trace]
 
 Exit codes: 0 for a successful mediation (or a passing check / clean
 oracle run), 2 for a failed mediation or oracle diffs, 1 for usage,
@@ -17,7 +18,6 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from .lang import Constant, Literal
 from .logic import DepthExceeded, LogicError, prove
 from .mediator import MediationError, mediate
 from .oracle import certify
@@ -46,11 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(mode, help=help_text)
         p.add_argument("file", help="scenario file (.med)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--max-rounds", type=int, default=None)
-        p.add_argument("--stall", type=int, default=None)
         p.add_argument("--verbosity", choices=("quiet", "normal", "trace"), default="normal")
+        if mode == "run":
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            p.add_argument("--max-rounds", type=int, default=None)
+            p.add_argument("--stall", type=int, default=None)
     return parser
 
 
@@ -82,14 +83,15 @@ def _emit(data: bytes, out: Optional[str], quiet: bool) -> None:
 
 def _configured(scenario: Scenario, args) -> Scenario:
     config = replace(scenario.config)
-    if args.max_rounds is not None:
-        if args.max_rounds <= 0:
+    max_rounds, stall = getattr(args, "max_rounds", None), getattr(args, "stall", None)
+    if max_rounds is not None:
+        if max_rounds <= 0:
             raise ValidationError("--max-rounds must be a positive integer")
-        config.max_rounds = args.max_rounds
-    if args.stall is not None:
-        if args.stall <= 0:
+        config.max_rounds = max_rounds
+    if stall is not None:
+        if stall <= 0:
             raise ValidationError("--stall must be a positive integer")
-        config.stall_threshold = args.stall
+        config.stall_threshold = stall
     env_depth = os.environ.get(PROOF_DEPTH_ENV)
     if env_depth is not None:
         try:
@@ -119,27 +121,17 @@ def _check(scenario: Scenario, args, trace) -> int:
     lines = [f"scenario {scenario.name}: valid"]
     depth = scenario.config.proof_depth
     for agent in scenario.agents:
-        own = agent.unit("B").extended(
-            [(f"res:{name}", decl) for name, decl in _have_facts(agent)], agent.general
-        )
-        for label in agent.goal_labels:
-            goal = agent.unit("I").lookup(label)
-            if goal is None:
-                continue
+        own = agent.unit("B").extended(agent.have_facts(), agent.general)
+        for label, goal in agent.goals():
             try:
-                provable = prove(own, goal.atom(), depth) is not None
+                provable = prove(own, goal, depth) is not None
                 verdict = f"{'reachable' if provable else 'unreachable'} without mediation"
             except DepthExceeded:
                 verdict = f"unknown (depth bound {depth} hit)"
-            lines.append(f"{agent.id} goal {label} ({goal.atom()}): {verdict}")
+            lines.append(f"{agent.id} goal {label} ({goal}): {verdict}")
     output = "\n".join(lines) + "\n"
     _emit(output.encode("utf-8"), args.out, args.verbosity == "quiet")
     return 0
-
-
-def _have_facts(agent):
-    for name, _ in agent.resources:
-        yield name, Literal("have", (Constant(agent.id), Constant(name)))
 
 
 def _oracle(scenario: Scenario, args, trace) -> int:

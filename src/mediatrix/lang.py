@@ -116,7 +116,7 @@ class Literal:
 
     def __str__(self) -> str:
         sign = "" if self.positive else "~"
-        inner = f"{self.predicate}({', '.join(map(str, self.args))})"
+        inner = f"{self.predicate}({', '.join(map(str, self.args))})" if self.args else self.predicate
         if self.modality is Modality.NONE:
             return sign + inner
         return f"{sign}{self.modality.value} {self.owner}: {inner}"

@@ -588,18 +588,24 @@ class _Search:
         yield subst, frozenset(premises)
 
 
+def is_goal(fact: Literal) -> bool:
+    """A positive fact over a non-transfer atom; the caller checks that it is the agent's intention."""
+    return fact.positive and fact.predicate not in (OWNS, GIVE)
+
+
 def base_goals(theory: Theory, agent: str) -> list[tuple[str, Literal]]:
     """Declared goal intentions of the agent: int facts over non-transfer atoms."""
-    out = []
-    for label, fact in theory.facts():
-        if (
-            fact.modality is Modality.INT
-            and fact.positive
-            and isinstance(fact.owner, Constant)
-            and fact.owner.symbol == agent
-            and fact.predicate not in (OWNS, GIVE)
-        ):
-            out.append((label, fact))
+    me = Constant(agent)
+    return [(l, f) for l, f in theory.facts() if f.modality is Modality.INT and f.owner == me and is_goal(f)]
+
+
+def goals_of(theory: Theory, agents: Iterable[str]) -> dict[str, Literal]:
+    """Each agent's first goal atom in the theory, for the agents that have one."""
+    out = {}
+    for agent in agents:
+        found = base_goals(theory, agent)
+        if found:
+            out[agent] = found[0][1].atom()
     return out
 
 

@@ -44,9 +44,9 @@ from .logic import (
     Entry,
     GeneralRule,
     Theory,
-    base_goals,
     believed_ownership,
     entry_canonical,
+    goals_of,
     ground_args,
     plan_options,
 )
@@ -299,12 +299,7 @@ class Mediation:
         return package
 
     def goals(self) -> dict[str, Literal]:
-        out = {}
-        for agent_id in self.order:
-            found = base_goals(self.gamma, agent_id)
-            if found:
-                out[agent_id] = found[0][1].atom()
-        return out
+        return goals_of(self.gamma, self.order)
 
     def _relevant(self, solution: Solution, agent_id: str) -> list[Argument]:
         rel = []

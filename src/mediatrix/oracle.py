@@ -9,11 +9,11 @@ create_solution certifies soundness and completeness on small scenarios.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .agent import AgentState, GiveAction
-from .lang import Constant, Literal, Modality
-from .logic import DEFAULT_PROOF_DEPTH, DepthExceeded, Entry, Theory, believed_ownership, prove
+from .agent import GiveAction
+from .lang import Literal
+from .logic import DEFAULT_PROOF_DEPTH, DepthExceeded, Entry, Theory, believed_ownership, goals_of, prove
 from .mediator import _blocked_transfers, _plans_for, create_solution
 from .scenario import Scenario
 
@@ -120,7 +120,8 @@ def oracle_diff(
 def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
     """The mediator's theory after every agent disclosed everything, and one goal atom per agent.
 
-    The theory's general principles say who is generous.
+    Each agent's goal is the one the mediation would plan with in that
+    theory. The theory's general principles say who is generous.
     """
     gamma = scenario.mediator.theory
     n = itertools.count(1)
@@ -130,28 +131,15 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
         if not gamma.contains(item) and not any(item == e for _, e in additions):
             additions.append((f"O.{next(n)}", item))
 
-    goals: dict[str, Literal] = {}
     for agent in scenario.agents:
         for _, item in agent.unit("B").entries():
             offer(item)
-        for label, fact in agent.unit("I").facts():
-            wrapped = fact if fact.modality is not Modality.NONE else _intend(agent, fact)
-            offer(wrapped)
-            if label in agent.goal_labels and agent.id not in goals:
-                goals[agent.id] = fact.atom()
-        for decl in _resource_facts(agent):
-            offer(decl)
-    return gamma.extended(additions), goals
-
-
-def _intend(agent: AgentState, fact: Literal) -> Literal:
-    return replace(fact, modality=Modality.INT, owner=Constant(agent.id))
-
-
-def _resource_facts(agent: AgentState) -> list[Literal]:
-    return [
-        Literal("have", (Constant(agent.id), Constant(name))) for name, _ in agent.resources
-    ]
+        for _, fact in agent.unit("I").facts():
+            offer(agent.intention(fact))
+        for _, fact in agent.have_facts():
+            offer(fact)
+    gamma = gamma.extended(additions)
+    return gamma, goals_of(gamma, [agent.id for agent in scenario.agents])
 
 
 def certify(scenario: Scenario, depth: int = DEFAULT_PROOF_DEPTH) -> list[str]:

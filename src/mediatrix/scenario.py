@@ -133,7 +133,6 @@ class _Participant:
     units: dict[str, list[tuple[str, Entry]]] = field(default_factory=lambda: {"B": [], "D": [], "I": []})
     resources: list[tuple[str, Fraction]] = field(default_factory=list)
     strategy: Strategy = Strategy.EAGER
-    goal_labels: list[str] = field(default_factory=list)
 
 
 class _Parser:
@@ -331,9 +330,6 @@ class _Parser:
             entry = Rule(label, head, *rule)
             if not entry.range_restricted():
                 raise ValidationError(f"rule {label} is not range-restricted")
-        elif unit == "I" and head.modality is Modality.NONE and head.positive:
-            if head.predicate not in ("have", "give"):
-                p.goal_labels.append(label)
         p.units[unit].append((label, entry))
 
     def modal_prefix(self) -> tuple[Optional[Modality], Optional[Term]]:
@@ -414,7 +410,6 @@ class _Parser:
                     strategy=p.strategy,
                     general=general,
                     bridges=enabled_bridges,
-                    goal_labels=tuple(p.goal_labels),
                 )
             )
         m = mediators[0]
@@ -453,29 +448,6 @@ def parse_scenario(data: Union[bytes, str]) -> Scenario:
 # ----------------------------------------------------------------------
 
 
-def _render_term(t: Term) -> str:
-    return t.name if isinstance(t, Variable) else t.symbol
-
-
-def render_literal(lit: Literal) -> str:
-    sign = "" if lit.positive else "~"
-    args = f"({', '.join(_render_term(a) for a in lit.args)})" if lit.args else ""
-    inner = f"{lit.predicate}{args}"
-    if lit.modality is Modality.NONE:
-        return sign + inner
-    return f"{sign}{lit.modality.value} {_render_term(lit.owner)}: {inner}"
-
-
-def render_rule(rule: Rule) -> str:
-    parts = [render_literal(b) for b in rule.body]
-    parts += [f"not({render_literal(n)})" for n in rule.naf]
-    return f"{render_literal(rule.head)} :- {', '.join(parts)}"
-
-
-def render_entry(item: Entry) -> str:
-    return render_rule(item) if isinstance(item, Rule) else render_literal(item)
-
-
 def serialize_scenario(scenario: Scenario) -> bytes:
     """Canonical text form; parsing it yields an equal Scenario."""
     lines = [f"scenario {scenario.name};", ""]
@@ -495,20 +467,24 @@ def serialize_scenario(scenario: Scenario) -> bytes:
     lines.append("")
     for a in scenario.agents:
         for unit, tag in (("B", "bel"), ("D", "des"), ("I", "int")):
-            for label, item in a.units[unit].entries():
-                lines.append(f"[{label}] {tag} {a.id}: {render_entry(item)}.")
+            lines.extend(_formula(label, tag, a.id, item) for label, item in a.units[unit].entries())
         for name, value in a.resources:
-            lines.append(f"resource {a.id} {name} = {_render_fraction(value)};")
+            lines.append(f"resource {a.id} {name} = {_fraction(value)};")
         lines.append("")
     m = scenario.mediator
-    for label, item in m.theory.entries():
-        lines.append(f"[{label}] bel {m.id}: {render_entry(item)}.")
+    lines.extend(_formula(label, "bel", m.id, item) for label, item in m.theory.entries())
     for name, value in m.resources:
-        lines.append(f"resource {m.id} {name} = {_render_fraction(value)};")
+        lines.append(f"resource {m.id} {name} = {_fraction(value)};")
     return ("\n".join(lines).rstrip("\n") + "\n").encode("utf-8")
 
 
-def _render_fraction(value: Fraction) -> str:
+def _formula(label: str, tag: str, owner: str, item: Entry) -> str:
+    """One formula line; the text of a rule already ends with its full stop."""
+    end = "" if isinstance(item, Rule) else "."
+    return f"[{label}] {tag} {owner}: {item}{end}"
+
+
+def _fraction(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     f = float(value)

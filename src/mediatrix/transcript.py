@@ -137,7 +137,7 @@ def from_dict(d: dict) -> Transcript:
     return _read(Transcript, d)
 
 
-def render_text(t: Transcript) -> str:
+def _text(t: Transcript) -> str:
     lines = [f"scenario: {t.scenario_name}"]
     for r in t.rounds:
         lines.append(f"round {r.number}:")
@@ -182,7 +182,7 @@ def serialize_transcript(t: Transcript, format: str = "json") -> bytes:
         _write(t, out, "", opening=",")
         return ("".join(out) + "\n").encode("ascii")
     if format == "text":
-        return render_text(t).encode("utf-8")
+        return _text(t).encode("utf-8")
     raise ValueError(f"unknown transcript format {format!r}")
 
 

@@ -110,7 +110,6 @@ def make_scenario(rng: random.Random) -> Scenario:
                 ),
                 strategy=rng.choice([Strategy.EAGER, Strategy.CAUTIOUS]),
                 general=GENERAL_ALL,
-                goal_labels=(f"{agent}.g",),
             )
         )
     mediator_own = [r for r, o in owner_of.items() if o == MEDIATOR]

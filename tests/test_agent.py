@@ -61,7 +61,6 @@ def make_beta(**overrides) -> AgentState:
         resources=(("mirror", Fraction(1)), ("nail", Fraction(1))),
         strategy=Strategy.EAGER,
         general=GENERAL,
-        goal_labels=("B.1",),
     )
     defaults.update(overrides)
     return AgentState(**defaults)

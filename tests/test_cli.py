@@ -130,3 +130,9 @@ class TestUsage:
 
     def test_unknown_mode_exit_one(self, capsys):
         assert main(["frobnicate", HOME]) == 1
+
+    @pytest.mark.parametrize("mode", ["check", "oracle"])
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--max-rounds", "1"], ["--stall", "3"]])
+    def test_run_only_flags_are_usage_errors_elsewhere(self, mode, flag, capsys):
+        assert main([mode, HOME, *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -528,7 +528,6 @@ def _agent(beliefs, intentions=()) -> AgentState:
             "I": Theory([("g1", atom("can", "a", "go"))] + list(intentions)),
         },
         resources=(),
-        goal_labels=("g1",),
     )
 
 

@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 
 from mediatrix import mediator
-from mediatrix.agent import GiveAction
-from mediatrix.lang import Literal, atom, intends
+from mediatrix.agent import GiveAction, disclose
+from mediatrix.lang import Literal, Modality, atom, intends, modal
 from mediatrix.logic import Theory
 from mediatrix.mediator import (
     IncoherentInput,
@@ -20,6 +20,7 @@ from mediatrix.mediator import (
 
 from mediatrix import oracle
 from mediatrix.logic import prove
+from mediatrix.scenario import parse_scenario
 
 from conftest import GENERAL, load_scenario
 
@@ -51,7 +52,7 @@ class TestRevise:
         batch = [("a", p), ("b", q), ("c", q.complement()), ("d", p.complement())]
         with pytest.raises(IncoherentInput) as raised:
             revise(Theory(), batch)
-        assert str(raised.value) == "incoming knowledge asserts both p() and ~p()"
+        assert str(raised.value) == "incoming knowledge asserts both p and ~p"
 
     def test_complements_each_incoming_fact_a_bounded_number_of_times(self, monkeypatch):
         calls = []
@@ -231,3 +232,26 @@ def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
     transfers = {t for c in candidates for t in c.transfers}
     assert len(candidates) > len(transfers) > 0
     assert sorted(proved) == sorted(str(t.intention(t.receiver)) for t in transfers)
+
+
+# a mediator case fact names a goal of `a` that `a` never declares, and `a`
+# intends a belief of `b`
+PROBE = b"""agent a; agent b; mediator m;
+[a.1] int a: can(a, go).
+[a.2] int a: bel b: p(c).
+[a.3] bel a: can(X, go) :- have(X, r).
+[b.1] int b: can(b, go).
+[m.1] bel m: int a: can(a, stay).
+resource a r = 0;
+"""
+
+
+def test_full_disclosure_reads_agents_as_the_mediation_does():
+    s = parse_scenario(PROBE)
+    a = s.agents[0]
+    gamma, goals = oracle.full_disclosure(s)
+    assert goals["a"] == Mediation(list(s.agents), s.mediator).goals()["a"] == atom("can", "a", "stay")
+    told = intends("a", atom("p", "c"))
+    assert told in [d.payload for d in disclose(a, 2)[1]]
+    assert gamma.has_fact(told) and not gamma.has_fact(modal(Modality.BEL, "b", atom("p", "c")))
+    assert [(d.label, d.payload) for d in disclose(a, 1)[1]] == [(l, a.intention(g)) for l, g in a.goals()]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mediatrix import scenario as scenario_module
 from mediatrix.agent import Strategy
-from mediatrix.lang import Modality
+from mediatrix.lang import Modality, atom
 from mediatrix.scenario import (
     ParseError,
     ValidationError,
@@ -49,7 +49,7 @@ class TestParse:
     def test_minimal_scenario(self):
         s = parse_scenario(MINIMAL)
         assert s.name == "demo"
-        assert s.agents[0].goal_labels == ("a.1",)
+        assert s.agents[0].goals() == [("a.1", atom("can", "a", "sing"))]
 
     def test_empty_input(self):
         with pytest.raises(ParseError) as err:
@@ -135,12 +135,18 @@ MEDIATOR_RULES_UNDER_DES_AND_INT = b"""scenario tags; agent a; agent b; mediator
 [M.3] bel m: have(a, key).
 """
 
+NULLARY_ATOMS = b"""scenario nullary; agent a; agent b; mediator m;
+[a.1] bel a: raining.
+[a.2] bel a: can(X, stay) :- have(X, umbrella), raining, not(sunny).
+[M.1] bel m: ~windy.
+"""
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "text",
-        [p.read_bytes() for p in SHIPPED] + [MEDIATOR_RULES_UNDER_DES_AND_INT],
-        ids=[p.stem for p in SHIPPED] + ["mediator_rules_under_des_and_int"],
+        [p.read_bytes() for p in SHIPPED] + [MEDIATOR_RULES_UNDER_DES_AND_INT, NULLARY_ATOMS],
+        ids=[p.stem for p in SHIPPED] + ["mediator_rules_under_des_and_int", "nullary_atoms"],
     )
     def test_shipped_fixture(self, text: bytes):
         first = parse_scenario(text)
