@@ -55,21 +55,22 @@ class Rule:
     head: Literal
     body: tuple[Literal, ...] = ()
     naf: tuple[Literal, ...] = ()  # absence conditions, negation-as-failure
-    # filled on first use by `rename` and `canonical`; slots keep them out of a per-rule __dict__
+    # filled on first use (`rename`, `canonical`, `range_restricted`); slots keep them out of a per-rule __dict__
     _variables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _canonical: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _range_restricted: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_fact(self) -> bool:
         return not self.body and not self.naf
 
     def range_restricted(self) -> bool:
-        if self.is_fact:
-            return True
-        bound = set()
-        for lit in self.body + self.naf:
-            bound |= lit.variables()
-        return self.head.variables() <= bound
+        if self._range_restricted is None:
+            bound = set()
+            for lit in self.body + self.naf:
+                bound |= lit.variables()
+            object.__setattr__(self, "_range_restricted", self.is_fact or self.head.variables() <= bound)
+        return self._range_restricted
 
     def rename(self, tag: int) -> "Rule":
         if self._variables is None:

@@ -126,9 +126,11 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
     gamma = scenario.mediator.theory
     n = itertools.count(1)
     additions: list[tuple[str, Entry]] = []
+    added: set[Entry] = set()
 
     def offer(item: Entry) -> None:
-        if not gamma.contains(item) and not any(item == e for _, e in additions):
+        if item not in added and not gamma.contains(item):
+            added.add(item)
             additions.append((f"O.{next(n)}", item))
 
     for agent in scenario.agents:

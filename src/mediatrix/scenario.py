@@ -68,9 +68,10 @@ class Scenario:
 # starts with, and `eof` matches once the rest of the text is skipped.
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*"
 _BLANK = r"[ \t\r\n]"
+_SKIP = rf"(?:{_BLANK}+|\#[^\n]*)*"
 _TOKEN_RE = re.compile(
     rf"""
-    (?:{_BLANK}+|\#[^\n]*)*
+    {_SKIP}
     (?:
       (?P<number>\d+(?:\.\d+)?|\.\d+)
     | (?P<ident>{_IDENT})
@@ -108,7 +109,8 @@ def _scan(text: str, pos: int = 0) -> Iterator[_Tok]:
 # A whole `[label] bel|des|int owner: head.` or `… : head :- b1, …, bn.` of plain
 # literals, built from the tokenizer's fragments. Each identifier ends where the
 # tokenizer's longest match would end it (`_END`), a body literal is not `not(…)`,
-# the final `.` starts no number; comments are not matched.
+# the final `.` starts no number; no comment is matched within, but the blanks and
+# comments after it are, so a match ends where the next statement starts.
 _END = r"(?![A-Za-z0-9_]|\.[A-Za-z0-9_])"
 _ID = _IDENT + _END
 _S = _BLANK + "*"
@@ -116,7 +118,7 @@ _LIT = rf"(?![A-Z]){_ID}{_S}(?:\({_S}{_ID}{_S}(?:,{_S}{_ID}{_S})*\){_S})?"
 _BODY_LIT = rf"(?!not{_S}\(){_LIT}"
 _FORMULA_RE = re.compile(
     rf"\[{_S}(?P<label>{_ID}){_S}\]{_S}(?P<tag>bel|des|int){_END}{_S}(?P<owner>{_ID}){_S}:{_S}"
-    rf"(?P<formula>{_LIT}(?P<arrow>:-{_S}{_BODY_LIT}(?:,{_S}{_BODY_LIT})*)?)\.(?!\d)"
+    rf"(?P<formula>{_LIT}(?P<arrow>:-{_S}{_BODY_LIT}(?:,{_S}{_BODY_LIT})*)?)\.(?!\d){_SKIP}"
 )
 _LITERAL_RE = re.compile(rf"({_IDENT}){_S}(?:\(([^)]*)\))?")  # within a matched formula
 
@@ -296,23 +298,26 @@ class _Parser:
         self.add_formula(p, UNIT_OF_MODALITY[modality], label, head, rule)
 
     def matched_formula(self) -> bool:
-        """Take a labelled formula of plain literals in one `_FORMULA_RE` match.
+        """Take a run of labelled formulas of plain literals, one `_FORMULA_RE` match each.
 
-        False leaves it, unread and unrecorded, to the token grammar, which raises every error."""
-        m = _FORMULA_RE.match(self.text, self.tok[2])
-        if m is None:
+        The run ends at the first statement not matched or not valid; it and any error
+        are left, unread and unrecorded, to the token grammar. False when the run is empty."""
+        text, at = self.text, self.tok[2]
+        while m := _FORMULA_RE.match(text, at):
+            literals = [
+                Literal(pred, tuple(map(self.term, "".join(args.split()).split(","))) if args else ())
+                for pred, args in _LITERAL_RE.findall(text, m.start("formula"), m.end("formula"))
+            ]
+            try:
+                p = self.owner(self.term(m["owner"]))
+                rule = (tuple(literals[1:]), ()) if m["arrow"] else None
+                self.add_formula(p, UNIT_OF_MODALITY[MODALITY_KEYWORDS[m["tag"]]], m["label"], literals[0], rule)
+            except ValidationError:
+                break
+            at = m.end()
+        if at == self.tok[2]:
             return False
-        literals = [
-            Literal(pred, tuple(self.term(a.strip()) for a in args.split(",")) if args else ())
-            for pred, args in _LITERAL_RE.findall(self.text, m.start("formula"), m.end("formula"))
-        ]
-        try:
-            p = self.owner(self.term(m["owner"]))
-            rule = (tuple(literals[1:]), ()) if m["arrow"] else None
-            self.add_formula(p, UNIT_OF_MODALITY[MODALITY_KEYWORDS[m["tag"]]], m["label"], literals[0], rule)
-        except ValidationError:
-            return False
-        self.tokens = _scan(self.text, m.end())
+        self.tokens = _scan(text, at)
         self.tok = next(self.tokens)
         return True
 
@@ -330,6 +335,9 @@ class _Parser:
             entry = Rule(label, head, *rule)
             if not entry.range_restricted():
                 raise ValidationError(f"rule {label} is not range-restricted")
+        elif unit == "I" and head.modality is not Modality.NONE and not p.is_mediator:
+            read = Literal(head.predicate, head.args, head.positive, Modality.INT, Constant(p.id))
+            self.warnings.append(f"intention {label} nests a modality; it is read as {read}")
         p.units[unit].append((label, entry))
 
     def modal_prefix(self) -> tuple[Optional[Modality], Optional[Term]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -22,7 +23,7 @@ from mediatrix import oracle
 from mediatrix.logic import prove
 from mediatrix.scenario import parse_scenario
 
-from conftest import GENERAL, load_scenario
+from conftest import GENERAL, SCENARIOS, load_scenario
 
 
 class TestRevise:
@@ -248,6 +249,7 @@ resource a r = 0;
 
 def test_full_disclosure_reads_agents_as_the_mediation_does():
     s = parse_scenario(PROBE)
+    assert s.warnings == ("intention a.2 nests a modality; it is read as int a: p(c)",)
     a = s.agents[0]
     gamma, goals = oracle.full_disclosure(s)
     assert goals["a"] == Mediation(list(s.agents), s.mediator).goals()["a"] == atom("can", "a", "stay")
@@ -255,3 +257,35 @@ def test_full_disclosure_reads_agents_as_the_mediation_does():
     assert told in [d.payload for d in disclose(a, 2)[1]]
     assert gamma.has_fact(told) and not gamma.has_fact(modal(Modality.BEL, "b", atom("p", "c")))
     assert [(d.label, d.payload) for d in disclose(a, 1)[1]] == [(l, a.intention(g)) for l, g in a.goals()]
+
+
+def quadratic_gamma(scenario):
+    """`full_disclosure`'s theory built with the rule it had: each offer compared with every earlier addition."""
+    gamma = scenario.mediator.theory
+    n = itertools.count(1)
+    additions = []
+
+    def offer(item):
+        if not gamma.contains(item) and not any(item == e for _, e in additions):
+            additions.append((f"O.{next(n)}", item))
+
+    for agent in scenario.agents:
+        for _, item in agent.unit("B").entries():
+            offer(item)
+        for _, fact in agent.unit("I").facts():
+            offer(agent.intention(fact))
+        for _, fact in agent.have_facts():
+            offer(fact)
+    return gamma.extended(additions)
+
+
+SHIPPED = sorted(SCENARIOS.glob("*.med"))
+
+
+@pytest.mark.parametrize("data", [p.read_bytes() for p in SHIPPED] + [PROBE], ids=[p.stem for p in SHIPPED] + ["probe"])
+def test_full_disclosure_adds_each_item_once_as_the_quadratic_rule_did(data):
+    s = parse_scenario(data)
+    gamma, _ = oracle.full_disclosure(s)
+    reference = quadratic_gamma(s)
+    assert gamma.entries() == reference.entries()
+    assert gamma.general == reference.general

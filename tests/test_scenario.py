@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mediatrix import scenario as scenario_module
 from mediatrix.agent import Strategy
-from mediatrix.lang import Modality, atom
+from mediatrix.lang import Literal, Modality, atom
 from mediatrix.scenario import (
     ParseError,
     ValidationError,
@@ -50,6 +50,21 @@ class TestParse:
         s = parse_scenario(MINIMAL)
         assert s.name == "demo"
         assert s.agents[0].goals() == [("a.1", atom("can", "a", "sing"))]
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "[a.2] bel a: can(X, sing) :- have(X, mic), near(mic, X).",  # matched whole
+            "[a.2] bel a: can(X, sing) :- have(X, mic), not(hoarse(X)).",  # read by the token grammar
+        ],
+    )
+    def test_a_parsed_rules_variables_are_collected_once(self, monkeypatch, rule):
+        read = []
+        variables = Literal.variables
+        monkeypatch.setattr(Literal, "variables", lambda lit: read.append(str(lit)) or variables(lit))
+        parsed = parse_scenario(MINIMAL + rule + "\n").agents[0].unit("B").lookup("a.2")
+        # the parser checks range restriction; building the unit theory reads the answer it kept
+        assert sorted(read) == sorted(map(str, (parsed.head, *parsed.body, *parsed.naf)))
 
     def test_empty_input(self):
         with pytest.raises(ParseError) as err:
@@ -347,6 +362,8 @@ FAMILY_LINES = [
     "[b.2] bel b: have(m, r310).",
     "[M.1] bel m: can(X, goal_b) :- have(X, r205).",
     "resource a r310 = 0.5;",
+    "# a comment between formulas",
+    "",
 ]
 # characters that sit on the edges of the statement pattern
 EDGE_CHARS = ".5:-#()[],~ \n\f_Xa"
@@ -389,6 +406,10 @@ class TestWholeStatementMatch:
             "[x.1] bel a: nothing(X) :- q(X), not.x(X).",
             "[x.1] bel X: p(c).",
             "[x.1] bel a: P(c).",
+            "[x.1] bel a: p(c).\n[x.2] bel a: q(c).\nresource a r = 0.5;",  # a run ends at a directive
+            "[x.1] bel a: p(c).\n[x.2] bel a: q(c).\n[x.3] bel zeus: p(c).\n[x.4] bel a: r(c).",
+            "[x.1] bel a: p(c).\n[x.2] bel a: p(X) :- q(c).\n[x.3] bel a: r(c).",
+            "[x.1] bel a: p(c).\n# caf\u00e9 @ $ \\ \x00\n[x.2] bel a: q(c).",  # no token starts with these
         ],
     )
     def test_edge_cases_agree_with_the_token_grammar(self, tail):
@@ -407,5 +428,5 @@ class TestWholeStatementMatch:
         ]
         s = parse_scenario(MINIMAL + "\n".join(formulas) + "\n")
         assert len(s.agents[0].unit("B").entries()) == 2_500
-        # only the token after each formula is scanned; the token grammar reads about 13 per formula
-        assert counting.reads <= 2_500 + 20
+        # one run of formulas restarts the scanner once; the token grammar reads about 13 per formula
+        assert counting.reads <= 20
