@@ -15,8 +15,6 @@ from .argumentation import (
     Verdict,
     construct_argument,
     evaluate,
-    find_attacks,
-    minimality_check,
 )
 from .lang import Constant, Literal, Modality, Substitution, Variable, apply, unify
 from .logic import (
@@ -88,10 +86,8 @@ __all__ = [
     "disclose",
     "evaluate",
     "execute_give",
-    "find_attacks",
     "forward_chain",
     "mediate",
-    "minimality_check",
     "parse_scenario",
     "parse_transcript",
     "plan",

@@ -1,10 +1,9 @@
 """Strongly realist BDI agents.
 
-An agent keeps four unit theories (beliefs, desires, intentions,
-communication log), a value-ordered resource list and a disclosure
-strategy. Bridge rules move content between units and the wire: told
-beliefs are trusted, wanted transfers become requests, and requests for
-unneeded items are granted.
+An agent keeps three unit theories (beliefs, desires, intentions), a
+value-ordered resource list and a disclosure strategy. Bridge rules move
+content between units and the wire: told beliefs are trusted, wanted
+transfers become requests, and requests for unneeded items are granted.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ class Message:
 @dataclass(frozen=True)
 class Plan:
     rule_label: str
-    preconditions: tuple[Literal, ...]
+    needed: tuple[str, ...]  # resources the plan requires the agent to hold
     unmet: tuple[Literal, ...]
     transfers: tuple[GiveAction, ...]
     selected: bool = False
@@ -183,9 +182,6 @@ class AgentState:
     def with_unit(self, name: str, theory: Theory) -> "AgentState":
         return replace(self, units={**self.units, name: theory})
 
-    def believes(self, lit: Literal) -> bool:
-        return self.unit("B").has_fact(lit)
-
     def _next_label(self, prefix: str) -> tuple["AgentState", str]:
         n = self.fresh + 1
         return replace(self, fresh=n), f"{prefix}{self.id}.{n}"
@@ -228,7 +224,7 @@ def plan(agent: AgentState, goal: Literal) -> list[Plan]:
             if owner and owner != agent.id:
                 transfers.append(GiveAction(owner, agent.id, res))
         unmet += o.missing
-        plans.append(Plan(o.label, o.preconditions, tuple(unmet), tuple(transfers)))
+        plans.append(Plan(o.label, o.needed, tuple(unmet), tuple(transfers)))
 
     plans.sort(key=lambda p: (len(p.unmet), len(p.transfers), p.rule_label))
     return [replace(p, selected=(i == 0)) for i, p in enumerate(plans)]
@@ -254,7 +250,7 @@ def intends_to_keep(agent: AgentState, resource: str) -> bool:
         return True
     for _, goal in agent.goals():
         for p in plan(agent, agent.intention(goal)):
-            if p.selected and any(pre.predicate == OWNS and pre.args == keep.args for pre in p.preconditions):
+            if p.selected and resource in p.needed:
                 return True
     return False
 

@@ -9,8 +9,6 @@ counter-argument from its own knowledge extended with the proposal.
 
 from __future__ import annotations
 
-import itertools
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -25,10 +23,6 @@ from .logic import (
     consistent,
     prove,
 )
-
-log = logging.getLogger(__name__)
-
-EXACT_MINIMALITY_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -125,46 +119,6 @@ def construct_argument(
     # first occurrence wins: an entry outranks a general rule of the same label
     rank = {label: i for i, label in enumerate(dict.fromkeys(order))}
     return Argument(_support_items(delta, working, rank), conclusion)
-
-
-def minimality_check(
-    arg: Argument,
-    delta: Theory,
-    depth: int = DEFAULT_PROOF_DEPTH,
-) -> bool:
-    """True iff no proper subset of the support proves the conclusion.
-
-    Exact subset enumeration up to EXACT_MINIMALITY_BOUND support items;
-    above it a greedy single-removal check is used and logged as approximate.
-    """
-    labels, bound = sorted(arg.labels()), EXACT_MINIMALITY_BOUND
-    if len(labels) > bound:
-        log.warning("support of size %d exceeds bound %d; approximate check", len(labels), bound)
-        subsets: Iterable[tuple[str, ...]] = (
-            tuple(l for l in labels if l != drop) for drop in labels
-        )
-    else:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(labels, k) for k in range(len(labels))
-        )
-    for subset in subsets:
-        try:
-            if prove(delta.restricted(subset), arg.conclusion, depth) is not None:
-                return False
-        except DepthExceeded:
-            continue
-    return True
-
-
-def find_attacks(a: Argument, b: Argument) -> list[Attack]:
-    """All rebuts and undercuts of b by a."""
-    attacks = []
-    if a.conclusion == b.conclusion.complement():
-        attacks.append(Attack(AttackKind.REBUT, a, b, b.conclusion))
-    for item in b.fact_items():
-        if a.conclusion == item.item.complement():
-            attacks.append(Attack(AttackKind.UNDERCUT, a, b, item.item))
-    return attacks
 
 
 def evaluate(

@@ -600,13 +600,20 @@ def base_goals(theory: Theory, agent: str) -> list[tuple[str, Literal]]:
     return [(l, f) for l, f in theory.facts() if f.modality is Modality.INT and f.owner == me and is_goal(f)]
 
 
-def goals_of(theory: Theory, agents: Iterable[str]) -> dict[str, Literal]:
-    """Each agent's first goal atom in the theory, for the agents that have one."""
+def goals_of(theory: Theory, agents: Iterable[str], case: Theory) -> dict[str, Literal]:
+    """Each agent's goal atom in the theory, for the agents that have one.
+
+    `case` is the mediator's theory before any disclosure. The agent's first
+    goal intention that is not an entry of `case` wins, so what the agent
+    disclosed supersedes what the case says; a goal fact of the case is used
+    only for an agent that has disclosed no goal.
+    """
     out = {}
     for agent in agents:
         found = base_goals(theory, agent)
-        if found:
-            out[agent] = found[0][1].atom()
+        ranked = [(l, f) for l, f in found if case.lookup(l) != f] + found
+        if ranked:
+            out[agent] = ranked[0][1].atom()
     return out
 
 
@@ -640,7 +647,6 @@ class PlanOption:
     """A rule instance concluding a goal, read against one agent's ownership."""
 
     label: str
-    preconditions: tuple[Literal, ...]
     needed: tuple[str, ...]  # resources of the agent's have/2 preconditions, body order
     missing: tuple[Literal, ...]  # other preconditions that are not ground facts
     open_resource: bool  # some have(agent, V) precondition has a variable resource
@@ -664,9 +670,8 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
         s = unify(goal_atom, r.head)
         if s is None:
             continue
-        preconds = tuple(s.apply(b) for b in r.body)
         needed, missing, open_resource = [], [], False
-        for p in preconds:
+        for p in map(s.apply, r.body):
             if p.predicate == OWNS and len(p.args) == 2 and p.args[0] == me:
                 if isinstance(p.args[1], Constant):
                     needed.append(p.args[1].symbol)
@@ -674,7 +679,7 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
                     open_resource = True
             elif not (p.is_ground() and theory.has_fact(p)):
                 missing.append(p)
-        out.append(PlanOption(label, preconds, tuple(needed), tuple(missing), open_resource))
+        out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
     return out
 
 

@@ -44,6 +44,7 @@ from .logic import (
     Entry,
     GeneralRule,
     Theory,
+    base_goals,
     believed_ownership,
     entry_canonical,
     goals_of,
@@ -213,22 +214,6 @@ def create_solution(
     return None
 
 
-def solution_feasible(
-    solution: Solution, ownership: dict[str, frozenset[str]]
-) -> bool:
-    """Replay check: transfers execute in order and every plan is then met."""
-    world = dict(ownership)
-    try:
-        for give in solution.transfers:
-            world = execute_give(world, give)
-    except Exception:
-        return False
-    for p in solution.assignment:
-        if not set(p.needed) <= world.get(p.agent, frozenset()):
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # The mediation game
 # ----------------------------------------------------------------------
@@ -259,6 +244,7 @@ class Mediation:
         self.config = config or MediationConfig()
         self.scenario_name = scenario_name
         self.gamma = mediator.theory
+        self._case_goals = {f for a in self.order for _, f in base_goals(self.gamma, a)}  # none disclosed yet
         self.world: dict[str, frozenset[str]] = {
             a.id: frozenset(a.owned()) for a in agents
         }
@@ -275,16 +261,24 @@ class Mediation:
         return n
 
     def _learn(self, items: Iterable[Entry]) -> list[str]:
-        """Label the items the theory does not hold yet, revise it with them, return the labels."""
+        """Label the items the theory does not hold yet, revise it with them, return the labels.
+
+        A goal fact of the case that an agent discloses moves to the end of
+        the theory under its new label, so `goals_of` reads it as disclosed.
+        """
         labelled, seen = [], set()
         for item in items:
             key = entry_canonical(item)
-            if key in seen or self.gamma.contains(item):
+            if key in seen or self.gamma.contains(item) and item not in self._case_goals:
                 continue
             seen.add(key)
             self._label_no += 1
             labelled.append((f"M.{self._label_no}", item))
         if labelled:
+            moved = self._case_goals.intersection(item for _, item in labelled) if self._case_goals else ()
+            if moved:
+                self._case_goals -= moved
+                self.gamma = self.gamma.filtered(lambda l, e: e not in moved)
             self.gamma = revise(self.gamma, labelled)
         return [l for l, _ in labelled]
 
@@ -299,7 +293,7 @@ class Mediation:
         return package
 
     def goals(self) -> dict[str, Literal]:
-        return goals_of(self.gamma, self.order)
+        return goals_of(self.gamma, self.order, self.mediator.theory)
 
     def _relevant(self, solution: Solution, agent_id: str) -> list[Argument]:
         rel = []

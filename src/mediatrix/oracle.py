@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .agent import GiveAction
 from .lang import Literal
-from .logic import DEFAULT_PROOF_DEPTH, DepthExceeded, Entry, Theory, believed_ownership, goals_of, prove
+from .logic import DEFAULT_PROOF_DEPTH, DepthExceeded, Entry, Theory, base_goals, believed_ownership, goals_of, prove
 from .mediator import _blocked_transfers, _plans_for, create_solution
 from .scenario import Scenario
 
@@ -120,16 +120,18 @@ def oracle_diff(
 def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
     """The mediator's theory after every agent disclosed everything, and one goal atom per agent.
 
-    Each agent's goal is the one the mediation would plan with in that
-    theory. The theory's general principles say who is generous.
+    Each agent's goal is the one the mediation would plan with once the
+    agent has disclosed. The theory's general principles say who is generous.
     """
-    gamma = scenario.mediator.theory
+    case = gamma = scenario.mediator.theory
+    # as in the mediation, an agent's goal that the case states moves to the end under its new label
+    case_goals = {f for agent in scenario.agents for _, f in base_goals(case, agent.id)}
     n = itertools.count(1)
     additions: list[tuple[str, Entry]] = []
     added: set[Entry] = set()
 
     def offer(item: Entry) -> None:
-        if item not in added and not gamma.contains(item):
+        if item not in added and (not gamma.contains(item) or item in case_goals):
             added.add(item)
             additions.append((f"O.{next(n)}", item))
 
@@ -140,8 +142,11 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
             offer(agent.intention(fact))
         for _, fact in agent.have_facts():
             offer(fact)
+    moved = case_goals & added
+    if moved:
+        gamma = gamma.filtered(lambda l, e: e not in moved)
     gamma = gamma.extended(additions)
-    return gamma, goals_of(gamma, [agent.id for agent in scenario.agents])
+    return gamma, goals_of(gamma, [agent.id for agent in scenario.agents], case)
 
 
 def certify(scenario: Scenario, depth: int = DEFAULT_PROOF_DEPTH) -> list[str]:

@@ -29,8 +29,7 @@ from .lang import Constant, Literal, Modality, Term, Variable
 from .logic import Entry, GeneralKind, GeneralRule, Rule, Theory
 from .mediator import MediationConfig, MediatorState
 
-MODALITY_KEYWORDS = {"bel": Modality.BEL, "des": Modality.DES, "int": Modality.INT}
-UNIT_OF_MODALITY = {Modality.BEL: "B", Modality.DES: "D", Modality.INT: "I"}
+UNIT_OF_KEYWORD = {"bel": "B", "des": "D", "int": "I"}  # modality keyword -> agent unit
 BRIDGE_KINDS = set(ALL_BRIDGES)
 CONFIG_KEYS = ("max_rounds", "stall_threshold", "proof_depth")
 # principles and bridges that parse but change no behaviour
@@ -295,7 +294,7 @@ class _Parser:
         head = self.literal()
         rule = self.rule_body() if self.accept("arrow") else None
         self.expect("punct", ".")
-        self.add_formula(p, UNIT_OF_MODALITY[modality], label, head, rule)
+        self.add_formula(p, UNIT_OF_KEYWORD[modality.value], label, head, rule)
 
     def matched_formula(self) -> bool:
         """Take a run of labelled formulas of plain literals, one `_FORMULA_RE` match each.
@@ -311,7 +310,7 @@ class _Parser:
             try:
                 p = self.owner(self.term(m["owner"]))
                 rule = (tuple(literals[1:]), ()) if m["arrow"] else None
-                self.add_formula(p, UNIT_OF_MODALITY[MODALITY_KEYWORDS[m["tag"]]], m["label"], literals[0], rule)
+                self.add_formula(p, UNIT_OF_KEYWORD[m["tag"]], m["label"], literals[0], rule)
             except ValidationError:
                 break
             at = m.end()
@@ -342,12 +341,12 @@ class _Parser:
 
     def modal_prefix(self) -> tuple[Optional[Modality], Optional[Term]]:
         kind, word, _ = self.peek()
-        if kind == "ident" and word in MODALITY_KEYWORDS:
+        if kind == "ident" and word in UNIT_OF_KEYWORD:
             if self.peek(1)[0] == "ident" and self.peek(2)[:2] == ("punct", ":"):
                 self.next()
                 owner = self.term(self.next()[1])
                 self.expect("punct", ":")
-                return MODALITY_KEYWORDS[word], owner
+                return Modality(word), owner
         return None, None
 
     def literal(self) -> Literal:

@@ -7,7 +7,7 @@ import random
 import time
 
 from mediatrix.agent import GiveAction, RealismViolation
-from mediatrix.argumentation import construct_argument, minimality_check
+from mediatrix.argumentation import construct_argument
 from mediatrix.cli import main
 from mediatrix.lang import atom, intends
 from mediatrix.mediator import IncoherentInput, mediate
@@ -15,6 +15,7 @@ from mediatrix.oracle import oracle_diff
 from mediatrix.scenario import ParseError, ValidationError, parse_scenario, serialize_scenario
 from mediatrix.transcript import from_dict, parse_transcript, serialize_transcript, to_dict
 
+from checkers import minimality_check
 from conftest import SCENARIOS, load_scenario
 from generators import make_case, make_scenario
 

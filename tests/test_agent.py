@@ -197,7 +197,7 @@ class TestBridgeStep:
         agent, outbox = bridge_step(
             agent, [Message(MessageKind.TELL, "mu", "beta", ((), told))]
         )
-        assert agent.believes(told)
+        assert agent.unit("B").has_fact(told)
         assert outbox == []
 
     def test_told_own_intention_lands_in_intention_unit(self):
@@ -257,7 +257,7 @@ class TestBridgeStep:
         monkeypatch.setattr(Literal, "complement", lambda lit: complemented.append(lit) or original(lit))
         told = atom("have", "alpha", "screw")
         agent, _ = bridge_step(agent, [Message(MessageKind.TELL, "mu", "beta", ((), told))])
-        assert agent.believes(told)
+        assert agent.unit("B").has_fact(told)
         assert len(complemented) <= 3
 
 

@@ -5,11 +5,11 @@ from mediatrix.argumentation import (
     Verdict,
     construct_argument,
     evaluate,
-    find_attacks,
-    minimality_check,
 )
 from mediatrix.lang import atom, intends
 from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory
+
+from checkers import find_attacks, minimality_check
 
 
 def rule(label, head, *body):

@@ -66,6 +66,29 @@ class TestRun:
     def test_invalid_override_exit_one(self, capsys):
         assert main(["run", HOME, "--max-rounds", "0"]) == 1
 
+    def test_a_disclosed_goal_supersedes_the_case_goal(self, tmp_path, capsys):
+        # each agent reaches its goal alone, but the mediator's case says `a` wants to stay
+        scenario = tmp_path / "case_goal.med"
+        scenario.write_text(
+            "agent a; agent b; mediator m;\n"
+            "general G.1 ownership; general G.2 reduction;\n"
+            "general G.6 parsimony; general G.7 unique_choice;\n"
+            "[a.1] int a: can(a, go).\n"
+            "[a.2] bel a: can(X, go) :- have(X, r).\n"
+            "[a.3] bel a: have(a, r).\n"
+            "[b.1] int b: can(b, go).\n"
+            "[b.2] bel b: can(X, go) :- have(X, s).\n"
+            "[b.3] bel b: have(b, s).\n"
+            "[m.1] bel m: int a: can(a, stay).\n"
+            "resource a r = 0;\nresource b s = 0;\n"
+        )
+        assert main(["check", str(scenario)]) == 0
+        assert capsys.readouterr().out.count("): reachable without mediation") == 2
+        assert main(["run", str(scenario), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["outcome"], len(doc["rounds"])) == ("success", 2)
+        assert doc["rounds"][-1]["solution"]["transfers"] == []
+
     def test_proof_depth_env(self, monkeypatch, capsys):
         monkeypatch.setenv("MEDIATRIX_PROOF_DEPTH", "2")
         # too shallow to derive any transfer intention: mediation stalls

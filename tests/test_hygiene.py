@@ -7,12 +7,16 @@ from pathlib import Path
 
 import pytest
 
-import mediatrix
-
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mediatrix"
-# argparse calls this override itself, so nothing in the package names it
-CALLED_FROM_OUTSIDE = {"cli._ArgumentParser.error"}
+# read by no package code, yet used: the round-trip API that criterion 8 is
+# specified on, and the override that argparse calls itself
+CALLED_FROM_OUTSIDE = {
+    "scenario.serialize_scenario",
+    "transcript.to_dict",
+    "transcript.parse_transcript",
+    "cli._ArgumentParser.error",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,14 +55,15 @@ def _definitions(node: ast.AST, prefix: str):
             yield from _definitions(child, prefix)
 
 
-def dead_definitions(modules: dict[str, str], readers: list[str], used=frozenset()) -> list[str]:
+def dead_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """Definitions in `modules` (name -> source) whose name no reader reads.
 
     A definition counts as read when a reader mentions its name as a
-    variable or an attribute. Dunder methods and names in `used` count as
-    read.
+    variable or an attribute. Dunder methods and the qualified names in
+    CALLED_FROM_OUTSIDE count as read; a name that only `__all__` lists
+    does not.
     """
-    read = set(used)
+    read = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
@@ -76,13 +81,13 @@ def dead_definitions(modules: dict[str, str], readers: list[str], used=frozenset
 
 def test_scan_finds_a_dead_definition():
     source = "def f(): pass\ndef g(): f()\nclass C:\n    def __init__(self): pass\n    def h(self): pass\n"
-    assert dead_definitions({"m": source}, [source, "m.C().h()"]) == ["m.g (line 2)"]
+    assert dead_definitions({"m": source}, [source, "m.C().h()", "__all__ = ['g']"]) == ["m.g (line 2)"]
 
 
 def test_every_definition_is_read():
+    # the package is its own only reader: code that only tests call belongs under tests/
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    readers = list(modules.values()) + [p.read_text() for p in TESTS.glob("*.py")]
-    assert dead_definitions(modules, readers, used=set(mediatrix.__all__)) == []
+    assert dead_definitions(modules, list(modules.values())) == []
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:

@@ -16,13 +16,13 @@ from mediatrix.mediator import (
     create_solution,
     mediate,
     revise,
-    solution_feasible,
 )
 
 from mediatrix import oracle
 from mediatrix.logic import prove
 from mediatrix.scenario import parse_scenario
 
+from checkers import solution_feasible
 from conftest import GENERAL, SCENARIOS, load_scenario
 
 
@@ -252,7 +252,10 @@ def test_full_disclosure_reads_agents_as_the_mediation_does():
     assert s.warnings == ("intention a.2 nests a modality; it is read as int a: p(c)",)
     a = s.agents[0]
     gamma, goals = oracle.full_disclosure(s)
-    assert goals["a"] == Mediation(list(s.agents), s.mediator).goals()["a"] == atom("can", "a", "stay")
+    mediation = Mediation(list(s.agents), s.mediator)
+    assert mediation.goals()["a"] == atom("can", "a", "stay")  # before round 1 only the case fact exists
+    mediation._learn(d.payload for d in mediation.get_knowledge("a", 1))
+    assert goals["a"] == mediation.goals()["a"] == atom("can", "a", "go")
     told = intends("a", atom("p", "c"))
     assert told in [d.payload for d in disclose(a, 2)[1]]
     assert gamma.has_fact(told) and not gamma.has_fact(modal(Modality.BEL, "b", atom("p", "c")))

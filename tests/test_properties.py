@@ -3,15 +3,17 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mediatrix import mediator
 from mediatrix.agent import Message, MessageKind, RealismViolation, bridge_step
-from mediatrix.argumentation import construct_argument, minimality_check
-from mediatrix.lang import apply, atom, unify
-from mediatrix.logic import InconsistentTheory, Rule, Theory, consistent, forward_chain
+from mediatrix.argumentation import Verdict, construct_argument, evaluate
+from mediatrix.lang import apply, atom, intends, unify
+from mediatrix.logic import DepthExceeded, InconsistentTheory, Rule, Theory, consistent, forward_chain, prove
 from mediatrix.mediator import IncoherentInput, mediate, revise
 from mediatrix.transcript import (
     SCHEMA_VERSION,
@@ -29,7 +31,8 @@ from mediatrix.transcript import (
     to_dict,
 )
 
-from generators import make_case, make_scenario
+from checkers import find_attacks, minimality_check
+from generators import AGENTS, make_case, make_scenario
 
 CONSTS = ["a", "b", "c"]
 VARS1 = ["X1", "Y1"]
@@ -247,3 +250,61 @@ def test_mediation_terminates_and_reports(seed):
     assert out.status in ("success", "failure")
     assert 1 <= out.rounds <= scenario.config.max_rounds
     assert [r.number for r in out.transcript.rounds] == list(range(1, len(out.transcript.rounds) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_every_rejection_is_an_attack_find_attacks_finds(seed):
+    scenario = make_scenario(random.Random(seed))
+    decisions = []
+
+    def recording(delta, proposed, *rest):
+        decision = evaluate(delta, proposed, *rest)
+        decisions.append((proposed, decision))
+        return decision
+
+    with patch.object(mediator, "evaluate", recording):
+        try:
+            mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
+        except (RealismViolation, IncoherentInput):
+            pass
+    for proposed, decision in decisions:
+        if decision.verdict is Verdict.REJECT:
+            counter = decision.counter
+            attacks = find_attacks(counter.attacker, proposed)
+            assert (counter.kind, counter.point) in [(a.kind, a.point) for a in attacks], str(proposed)
+
+
+@st.composite
+def case_goal_scenarios(draw):
+    """`make_scenario` output whose mediator's case also states goal intentions of the agents."""
+    scenario = make_scenario(random.Random(draw(st.integers(min_value=0, max_value=10**9))))
+    stated = draw(
+        st.lists(
+            st.tuples(st.sampled_from(AGENTS), st.sampled_from(["stay", *(f"goal_{a}" for a in AGENTS)])),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    case = [(f"C.{i}", intends(agent, atom("can", agent, goal))) for i, (agent, goal) in enumerate(stated, 1)]
+    theory = scenario.mediator.theory.extended(case)
+    return replace(scenario, mediator=replace(scenario.mediator, theory=theory))
+
+
+def reachable_alone(agent) -> bool:
+    """Whether `mediatrix check` finds every goal of the agent reachable without mediation."""
+    own = agent.unit("B").extended(agent.have_facts(), agent.general)
+    try:
+        return all(prove(own, goal) is not None for _, goal in agent.goals())
+    except DepthExceeded:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(case_goal_scenarios())
+def test_agents_that_reach_their_goals_alone_succeed_by_round_two(scenario):
+    if not all(reachable_alone(agent) for agent in scenario.agents):
+        return
+    out = mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
+    assert (out.status, out.rounds <= 2) == ("success", True), out.reason
