@@ -397,8 +397,7 @@ def disclose(agent: AgentState, round_no: int) -> tuple[AgentState, list[Disclos
     else:
         relevant = _relevance_closure(agent)
         for label, item in agent.unit("B").entries():
-            symbols = _symbols(item)
-            if symbols & relevant:
+            if _mentions(item, relevant):
                 offer(label, item)
         for name, value in agent.resources:
             key = f"res:{name}"
@@ -408,35 +407,29 @@ def disclose(agent: AgentState, round_no: int) -> tuple[AgentState, list[Disclos
     return replace(agent, disclosed=frozenset(disclosed)), package
 
 
-def _symbols(item: Entry) -> set[str]:
-    if isinstance(item, Rule):
-        out = _lit_symbols(item.head)
-        for lit in item.body + item.naf:
-            out |= _lit_symbols(lit)
-        return out
-    return _lit_symbols(item)
-
-
-def _lit_symbols(lit: Literal) -> set[str]:
-    return {lit.predicate} | lit.constants()
+def _mentions(item: Entry, symbols: set[str]) -> bool:
+    """Whether a predicate or constant of the entry is in `symbols`; stops at the first found."""
+    for lit in (item.head, *item.body, *item.naf) if isinstance(item, Rule) else (item,):
+        if lit.predicate in symbols:
+            return True
+        for t in (lit.owner, *lit.args):
+            if type(t) is Constant and t.symbol in symbols:
+                return True
+    return False
 
 
 def _relevance_closure(agent: AgentState) -> set[str]:
     """Predicates and constants reachable from the goals through plan rules."""
     closure: set[str] = set()
-    for _, goal in agent.goals():
-        closure |= _lit_symbols(goal)
-    changed = True
-    while changed:
-        changed = False
-        for _, rule in agent.unit("B").rules():
-            if rule.is_fact:
-                continue
-            if _lit_symbols(rule.head) & closure:
-                added = _symbols(rule)
-                if not added <= closure:
-                    closure |= added
-                    changed = True
+    pending = [r for _, r in agent.unit("B").rules() if not r.is_fact]
+    joined = [goal for _, goal in agent.goals()]
+    while joined:  # a rule joins once, when its head first mentions the closure
+        for lit in joined:
+            closure.add(lit.predicate)
+            closure.update(t.symbol for t in lit.terms() if type(t) is Constant)
+        hits = [_mentions(r.head, closure) for r in pending]
+        joined = [lit for r, hit in zip(pending, hits) if hit for lit in (r.head, *r.body, *r.naf)]
+        pending = [r for r, hit in zip(pending, hits) if not hit]
     return closure
 
 

@@ -111,9 +111,6 @@ class Literal:
     def variables(self) -> set[str]:
         return {t.name for t in self.terms() if is_var(t)}
 
-    def constants(self) -> set[str]:
-        return {t.symbol for t in self.terms() if isinstance(t, Constant)}
-
     def __str__(self) -> str:
         sign = "" if self.positive else "~"
         inner = f"{self.predicate}({', '.join(map(str, self.args))})" if self.args else self.predicate

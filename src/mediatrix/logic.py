@@ -118,8 +118,8 @@ class Rule:
         return f"{self.head} :- {', '.join(parts)}."
 
 
-def _fresh(lit: Literal, fresh: dict[str, Variable]) -> Literal:
-    """The literal with each variable replaced by its fresh twin."""
+def _fresh(lit: Literal, fresh: dict[str, Term]) -> Literal:
+    """The literal with each variable replaced by the term the map gives its name."""
     owner = fresh[lit.owner.name] if type(lit.owner) is Variable else lit.owner
     args = tuple(fresh[a.name] if type(a) is Variable else a for a in lit.args)
     return Literal(lit.predicate, args, lit.positive, lit.modality, owner)
@@ -656,22 +656,50 @@ class PlanOption:
         return not self.missing and not self.open_resource
 
 
+class _Bindings(dict):
+    """A head's bindings; a variable it leaves unbound gets the name `rename(0)` gives it."""
+
+    def __missing__(self, name: str) -> Variable:
+        return Variable(f"{name}'0")
+
+
+def _instance_body(rule: Rule, goal: Literal, ground: bool) -> Optional[list[Literal]]:
+    """The rule's body under the unifier of its head and the goal, or None if they do not unify.
+
+    Against a ground goal the unifier is a one-way match: a head variable takes the
+    goal's term where it first occurs, and every other head term must equal the goal's.
+    """
+    if not ground:
+        if not may_unify(goal, rule.head):  # no renaming mends a constant clash
+            return None
+        r = rule.rename(0)
+        s = unify(goal, r.head)
+        return None if s is None else [s.apply(b) for b in r.body]
+    bound = _Bindings()
+    for h, g in zip((rule.head.owner, *rule.head.args), (goal.owner, *goal.args)):
+        if type(h) is Variable:
+            if bound.setdefault(h.name, g) != g:
+                return None
+        elif h != g:
+            return None
+    return [_fresh(b, bound) for b in rule.body]
+
+
 def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
     """Rule instances concluding the goal atom, in declaration order, duplicates dropped."""
     me = Constant(agent)
+    ground = goal_atom.is_ground()
     out, seen = [], set()
     for _, label, rule in theory.shape_index().heads.get(shape(goal_atom), ()):
-        # renaming keeps the key, and rules equal up to renaming unify alike
-        key = rule.canonical()
-        if key in seen or not may_unify(goal_atom, rule.head):
+        key = rule.canonical()  # rules equal up to renaming match alike
+        if key in seen:
             continue
         seen.add(key)
-        r = rule.rename(0)
-        s = unify(goal_atom, r.head)
-        if s is None:
+        body = _instance_body(rule, goal_atom, ground)
+        if body is None:
             continue
         needed, missing, open_resource = [], [], False
-        for p in map(s.apply, r.body):
+        for p in body:
             if p.predicate == OWNS and len(p.args) == 2 and p.args[0] == me:
                 if isinstance(p.args[1], Constant):
                     needed.append(p.args[1].symbol)

@@ -34,6 +34,7 @@ from mediatrix.logic import (
     GeneralKind,
     GeneralRule,
     InconsistentTheory,
+    PlanOption,
     Rule,
     Theory,
     believed_ownership,
@@ -228,7 +229,7 @@ def naive_ground_saturate(theory: Theory) -> set[Literal]:
     for _, entry in theory.entries():
         lits = [entry] if isinstance(entry, Literal) else [entry.head, *entry.body, *entry.naf]
         for lit in lits:
-            consts |= lit.constants()
+            consts |= {t.symbol for t in lit.terms() if isinstance(t, Constant)}
     consts = sorted(consts)
     facts = {f for _, f in theory.facts()}
 
@@ -598,7 +599,7 @@ class TestPlanOptions:
         ]
         assert plans[1].transfers == (GiveAction("b", "a", "r"),)
 
-    def test_rules_equal_up_to_renaming_are_renamed_once(self, monkeypatch):
+    def test_rules_equal_up_to_renaming_are_read_once_without_renaming(self, monkeypatch):
         theory = Theory(
             [
                 ("d1", rule("d1", atom("can", "X", "go"), atom("have", "X", "r"))),
@@ -606,11 +607,9 @@ class TestPlanOptions:
                 GOAL,
             ]
         )
-        renamed = []
-        original = Rule.rename
-        monkeypatch.setattr(Rule, "rename", lambda r, tag: renamed.append(r.label) or original(r, tag))
+        renamed = _record_renames(monkeypatch)
         assert [o.label for o in plan_options(theory, "a", atom("can", "a", "go"))] == ["d1"]
-        assert renamed == ["d1"]
+        assert renamed == []
 
     def test_rules_for_another_goal_constant_are_not_renamed(self, monkeypatch):
         theory = Theory(
@@ -622,7 +621,13 @@ class TestPlanOptions:
         )
         renamed = _record_renames(monkeypatch)
         assert [o.label for o in plan_options(theory, "a", atom("can", "a", "x"))] == ["d2"]
-        assert renamed == ["d2"]
+        assert renamed == []
+
+    def test_a_goal_with_a_variable_is_unified_with_the_renamed_rule(self, monkeypatch):
+        theory = Theory([("d1", rule("d1", atom("can", "Y", "go"), atom("have", "Y", "r")))])
+        renamed = _record_renames(monkeypatch)
+        assert plan_options(theory, "a", atom("can", "a", "X")) == [PlanOption("d1", ("r",), (), False)]
+        assert renamed == ["d1"]
 
     def test_variable_resource_sets_the_flag(self):
         theory = Theory(
@@ -631,6 +636,69 @@ class TestPlanOptions:
         (option,) = plan_options(theory, "a", atom("can", "a", "go"))
         assert option.open_resource and option.needed == () and not option.grounded
         assert select_plan(theory, "a") is None
+
+
+def plan_options_by_unification(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
+    """`plan_options` the general way: rename each rule apart, unify its head, apply to the body."""
+    me = Constant(agent)
+    out, seen = [], set()
+    for label, r in theory.rules():
+        key = r.canonical()
+        if r.is_fact or key in seen:
+            continue
+        seen.add(key)
+        renamed = r.rename(0)
+        s = unify(goal_atom, renamed.head)
+        if s is None:
+            continue
+        needed, missing, open_resource = [], [], False
+        for p in (apply(s, b) for b in renamed.body):
+            if p.predicate == "have" and len(p.args) == 2 and p.args[0] == me:
+                if isinstance(p.args[1], Constant):
+                    needed.append(p.args[1].symbol)
+                else:
+                    open_resource = True
+            elif not (p.is_ground() and theory.has_fact(p)):
+                missing.append(p)
+        out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
+    return out
+
+
+PLAN_CONSTANTS = ["a", "b", "go"]
+HEAD_TERMS = st.sampled_from(["X", "Y", *PLAN_CONSTANTS])  # a repeated variable recurs often
+BODY_TERMS = st.sampled_from(["X", "Y", "Z", "W", "a", "b", "r"])  # Z and W occur in bodies only
+
+
+@st.composite
+def plans_and_goals(draw):
+    """A theory of rules concluding one head shape, its facts, and a ground goal of that shape."""
+    arity = draw(st.integers(min_value=1, max_value=3))
+    modal = draw(st.booleans())  # an owner is one more head position to match
+    rules = []
+    for n in range(draw(st.integers(min_value=1, max_value=4))):
+        head = atom("can", *draw(st.lists(HEAD_TERMS, min_size=arity, max_size=arity)))
+        if modal:
+            head = intends(draw(HEAD_TERMS), head)
+        body = [
+            atom(draw(st.sampled_from(["have", "tool"])), *draw(st.lists(BODY_TERMS, min_size=1, max_size=2)))
+            for _ in range(draw(st.integers(min_value=0, max_value=3)))
+        ]
+        covered = {v for b in body for v in b.variables()}
+        body += [atom("have", "a", v) for v in sorted(head.variables() - covered)]  # range-restricted
+        rules.append((f"d{n}", rule(f"d{n}", head, *body)))
+    fact = st.builds(atom, st.sampled_from(["have", "tool"]), st.sampled_from(PLAN_CONSTANTS), st.sampled_from(["a", "r"]))
+    facts = [(f"f{i}", f) for i, f in enumerate(draw(st.lists(fact, max_size=3, unique=True)))]
+    goal = atom("can", *draw(st.lists(st.sampled_from(PLAN_CONSTANTS), min_size=arity, max_size=arity)))
+    if modal:
+        goal = intends(draw(st.sampled_from(PLAN_CONSTANTS)), goal)
+    return Theory(draw(st.permutations(rules + facts))), goal
+
+
+@settings(max_examples=300)
+@given(plans_and_goals(), st.sampled_from(["a", "b"]))
+def test_plan_options_of_a_ground_goal_equal_those_found_by_unification(case, agent):
+    theory, goal = case
+    assert plan_options(theory, agent, goal) == plan_options_by_unification(theory, agent, goal)
 
 
 def _enumerate_small_theories():

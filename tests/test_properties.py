@@ -9,9 +9,9 @@ from unittest.mock import patch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediatrix import mediator
+from mediatrix import mediator, parse_scenario
 from mediatrix.agent import Message, MessageKind, RealismViolation, bridge_step
-from mediatrix.argumentation import Verdict, construct_argument, evaluate
+from mediatrix.argumentation import AttackKind, Verdict, construct_argument, evaluate
 from mediatrix.lang import apply, atom, intends, unify
 from mediatrix.logic import DepthExceeded, InconsistentTheory, Rule, Theory, consistent, forward_chain, prove
 from mediatrix.mediator import IncoherentInput, mediate, revise
@@ -252,10 +252,8 @@ def test_mediation_terminates_and_reports(seed):
     assert [r.number for r in out.transcript.rounds] == list(range(1, len(out.transcript.rounds) + 1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9))
-def test_every_rejection_is_an_attack_find_attacks_finds(seed):
-    scenario = make_scenario(random.Random(seed))
+def assert_every_rejection_is_an_attack_find_attacks_finds(scenario) -> list:
+    """Mediate the scenario and check each rejection's counter-argument; returns the rejections."""
     decisions = []
 
     def recording(delta, proposed, *rest):
@@ -268,11 +266,45 @@ def test_every_rejection_is_an_attack_find_attacks_finds(seed):
             mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
         except (RealismViolation, IncoherentInput):
             pass
-    for proposed, decision in decisions:
-        if decision.verdict is Verdict.REJECT:
-            counter = decision.counter
-            attacks = find_attacks(counter.attacker, proposed)
-            assert (counter.kind, counter.point) in [(a.kind, a.point) for a in attacks], str(proposed)
+    rejections = [(proposed, d.counter) for proposed, d in decisions if d.verdict is Verdict.REJECT]
+    for proposed, counter in rejections:
+        attacks = find_attacks(counter.attacker, proposed)
+        assert (counter.kind, counter.point) in [(a.kind, a.point) for a in attacks], str(proposed)
+    return [counter for _, counter in rejections]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_every_rejection_is_an_attack_find_attacks_finds(seed):
+    assert_every_rejection_is_an_attack_find_attacks_finds(make_scenario(random.Random(seed)))
+
+
+# b holds r but never discloses b.4, its disbelief in a's goal, and refuses a's
+# request by undercutting that goal inside a full mediation
+UNDERCUT_SCENARIO = b"""scenario undercut;
+agent a;
+agent b;
+mediator m;
+strategy b = cautious;
+general G.1 ownership;
+general G.2 reduction;
+general G.4 unicity;
+general G.5 benevolence;
+general G.6 parsimony;
+general G.7 unique_choice;
+[a.1] int a: can(a, go).
+[a.2] bel a: can(X, go) :- have(X, r).
+[b.1] int b: fly(b).
+[b.2] bel b: fly(Y) :- tool(Y).
+[b.3] bel b: tool(b).
+[b.4] bel b: ~int a: can(a, go).
+resource b r = 1;
+"""
+
+
+def test_an_undercut_rejection_in_a_mediation_is_an_attack_find_attacks_finds():
+    rejections = assert_every_rejection_is_an_attack_find_attacks_finds(parse_scenario(UNDERCUT_SCENARIO))
+    assert [(c.kind, str(c.point)) for c in rejections] == [(AttackKind.UNDERCUT, "int a: can(a, go)")]
 
 
 @st.composite
