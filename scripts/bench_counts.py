@@ -2,14 +2,15 @@
 
 Run from anywhere in a checkout:
 
-    python3 scripts/bench_counts.py BENCH_14.json   # write this checkout's counts
+    python3 scripts/bench_counts.py BENCH_18.json   # write this checkout's counts
     python3 scripts/bench_counts.py                 # check them against the newest BENCH_<n>.json
 
 Each of the four workloads runs traced for one second on seeds 1-3. A run
 is recorded as its output digest and every `.calls` count. Both are fixed
 for a seed, whatever the machine's speed, so the check requires exact
 equality. It exits 1 on any difference and on a run whose output the
-benchmark does not call correct.
+benchmark does not call correct. Before it writes a file, it prints that
+file's differences from the newest other `BENCH_<n>.json`, and exits 0.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ def measure(workload: str, seed: int) -> dict:
     }
 
 
-def newest() -> Path:
+def newest(other_than: Path | None = None) -> Path:
     numbered = [
         (int(m.group(1)), p)
         for p in ROOT.glob("BENCH_*.json")
-        if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))
+        if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)) and p != other_than
     ]
     if not numbered:
         raise SystemExit(f"no BENCH_<n>.json in {ROOT}")
@@ -64,14 +65,15 @@ def differences(want: dict, got: dict) -> list[str]:
 
 def main(argv: list[str]) -> int:
     runs = {f"{w} seed {s}": measure(w, s) for w in WORKLOADS for s in SEEDS}
-    if argv:
-        Path(argv[0]).write_text(json.dumps({"command": COMMAND, "runs": runs}, indent=2) + "\n")
-        return 0
-    path = newest()
+    out = Path(argv[0]).resolve() if argv else None
+    path = newest(out)
     diffs = differences(json.loads(path.read_text())["runs"], runs)
     for line in diffs:
         print(line)
     print(f"{len(runs)} runs, {len(diffs)} difference(s) from {path.name}")
+    if out is not None:
+        out.write_text(json.dumps({"command": COMMAND, "runs": runs}, indent=2) + "\n")
+        return 0
     return 1 if diffs else 0
 
 

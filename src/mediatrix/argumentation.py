@@ -103,22 +103,26 @@ def construct_argument(
         return None
     working = set(proof.premises)
     conclusion = proof.conclusion
-    order = delta.labels() + [g.label for g in delta.general]
+    support = delta.restricted(working)
+    order = support.labels() + [g.label for g in support.general]
+    held = support  # the theory of exactly `working`, while one was built
     for label in reversed(order):
         if label not in working or len(working) == 1:
             continue
+        candidate = support.restricted(working - {label})
         try:
-            smaller = prove(delta.restricted(working - {label}), omega, depth)
+            smaller = prove(candidate, omega, depth)
         except DepthExceeded:
             smaller = None
         if smaller is not None:
+            held = candidate if smaller.premises == working - {label} else None
             working = set(smaller.premises)
             conclusion = smaller.conclusion
-    if not consistent(delta.restricted(working)):
+    if not consistent(support.restricted(working) if held is None else held):
         return None
     # first occurrence wins: an entry outranks a general rule of the same label
     rank = {label: i for i, label in enumerate(dict.fromkeys(order))}
-    return Argument(_support_items(delta, working, rank), conclusion)
+    return Argument(_support_items(support, working, rank), conclusion)
 
 
 def evaluate(

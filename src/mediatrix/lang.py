@@ -231,7 +231,8 @@ def unify(a: Literal, b: Literal, subst: Optional[Substitution] = None) -> Optio
 
 def may_unify(a: Literal, b: Literal) -> bool:
     """False when a position holds two distinct constants, so no renaming unifies them.
-    Callers compare shapes; a False answer is sound whether or not the shapes are equal."""
+    Its one caller, `logic._Search.solve`, passes rule heads of the goal's own shape; a False
+    answer is sound whether or not the shapes are equal."""
     for x, y in zip((a.owner, *a.args), (b.owner, *b.args)):
         if type(x) is Constant and type(y) is Constant and x.symbol != y.symbol:
             return False

@@ -55,8 +55,7 @@ class Rule:
     head: Literal
     body: tuple[Literal, ...] = ()
     naf: tuple[Literal, ...] = ()  # absence conditions, negation-as-failure
-    # filled on first use (`rename`, `canonical`, `range_restricted`); slots keep them out of a per-rule __dict__
-    _variables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # filled on first use (`canonical`, `range_restricted`); slots keep them out of a per-rule __dict__
     _canonical: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _range_restricted: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
@@ -73,12 +72,7 @@ class Rule:
         return self._range_restricted
 
     def rename(self, tag: int) -> "Rule":
-        if self._variables is None:
-            vs = self.head.variables()
-            for lit in self.body + self.naf:
-                vs |= lit.variables()
-            object.__setattr__(self, "_variables", tuple(sorted(vs)))
-        fresh = {v: Variable(f"{v}'{tag}") for v in self._variables}  # no scenario variable has a quote
+        fresh = _Fresh(tag)
         body, naf = tuple(_fresh(b, fresh) for b in self.body), tuple(_fresh(n, fresh) for n in self.naf)
         return Rule(self.label, _fresh(self.head, fresh), body, naf)
 
@@ -118,11 +112,50 @@ class Rule:
         return f"{self.head} :- {', '.join(parts)}."
 
 
+class _Fresh(dict):
+    """A rule's variable names mapped to terms; a name not yet mapped gets the fresh variable `v'tag`."""
+
+    def __init__(self, tag: int):
+        self.tag = tag
+
+    def __missing__(self, name: str) -> Variable:
+        return self.setdefault(name, Variable(f"{name}'{self.tag}"))  # no scenario variable has a quote
+
+
 def _fresh(lit: Literal, fresh: dict[str, Term]) -> Literal:
     """The literal with each variable replaced by the term the map gives its name."""
     owner = fresh[lit.owner.name] if type(lit.owner) is Variable else lit.owner
     args = tuple(fresh[a.name] if type(a) is Variable else a for a in lit.args)
     return Literal(lit.predicate, args, lit.positive, lit.modality, owner)
+
+
+def _bind(lit: Literal, goal: Literal, subst: Substitution, fresh: _Fresh) -> Optional[Substitution]:
+    """`unify(goal, lit renamed apart with fresh.tag, subst)`, renaming only what stays unbound.
+
+    `lit` has the goal's shape. A rule variable takes the goal's constant at its first occurrence,
+    or binds the goal's variable to its fresh name as `unify` would; later occurrences unify with
+    what it took. `fresh` then instantiates the rule's other literals; a failure leaves it half filled.
+    """
+    pairs = zip(lit.args, goal.args) if lit.owner is None else zip((lit.owner, *lit.args), (goal.owner, *goal.args))
+    for h, g in pairs:
+        g = subst.resolve(g)
+        if type(h) is Variable:
+            if h.name not in fresh:
+                if type(g) is Variable:
+                    subst = subst.bind(g, fresh[h.name])
+                else:
+                    fresh[h.name] = g
+                continue
+            h = subst.resolve(fresh[h.name])
+        if h == g:
+            continue
+        if type(g) is Variable:
+            subst = subst.bind(g, h)
+        elif type(h) is Variable:
+            subst = subst.bind(h, g)
+        else:
+            return None
+    return subst
 
 
 class GeneralKind(Enum):
@@ -419,14 +452,13 @@ class _Search:
         self.depth_hit = False
         self._tag = 0
 
-    def _renamed(self, candidates: list, fits: Callable[[Rule], bool]) -> Iterator[tuple[str, Rule]]:
-        """The candidates that `fits` accepts, renamed apart; a skipped one still takes its tag."""
+    def _tagged(self, candidates: list) -> Iterator[tuple[str, Rule, int]]:
+        """The candidates with the tag of their place in declaration order; a rule skipped still takes its tag."""
         passed = 0
         for ordinal, label, rule in candidates:
             self._tag += ordinal - passed + 1
             passed = ordinal + 1
-            if fits(rule):
-                yield label, rule.rename(self._tag)
+            yield label, rule, self._tag
         self._tag += self.index.rule_count - passed
 
     def solve(
@@ -443,8 +475,10 @@ class _Search:
             if s is not None:
                 yield s, frozenset([label])
 
-        fits = lambda rule: may_unify(goal, rule.head)  # no renaming mends a constant clash
-        for label, r in self._renamed(self.index.heads.get(key, ()), fits):
+        for label, r, tag in self._tagged(self.index.heads.get(key, ())):
+            if not may_unify(goal, r.head):  # no renaming mends a constant clash
+                continue
+            r = r.rename(tag)
             s = unify(goal, r.head, subst)
             if s is None:
                 continue
@@ -466,20 +500,18 @@ class _Search:
 
     # -- built-in schemes ------------------------------------------------
 
-    def _candidate_rules(self, inner: Literal) -> Iterator[tuple[Rule, frozenset[str]]]:
-        """Renamed rules with a body literal that may unify with the inner atom.
+    def _candidate_rules(self, inner: Literal) -> Iterator[tuple[Rule, int, frozenset[str]]]:
+        """Rules with a body literal of the inner atom's shape, each with its tag.
 
         Declared rules come first. Then, under the ownership principle, each
         ownership fact have(x, z) licenses the derived rule
         give(x, Y, z) -> have(Y, z); its use charges the fact and the
         ownership principle to the premises. A derived rule takes two tags,
-        one for Y and one for its renaming, and is built only when x and z
+        one for Y and one for its fresh names, and is built only when x and z
         can match the giver and resource of the atom.
         """
-        key = shape(inner)
-        fits = lambda rule: any(shape(b) == key and may_unify(inner, b) for b in rule.body)
-        for label, r in self._renamed(self.index.bodies.get(key, ()), fits):
-            yield r, frozenset([label])
+        for label, r, tag in self._tagged(self.index.bodies.get(shape(inner), ())):
+            yield r, tag, frozenset([label])
         ownership = self.theory.general_of(GeneralKind.OWNERSHIP)
         if ownership is None:
             return
@@ -498,12 +530,8 @@ class _Search:
             if not (is_var(giver) or giver == x) or not (is_var(resource) or resource == z):
                 continue
             recv = Variable(f"Y'{self._tag - 1}")
-            derived = Rule(
-                label=f"{label}>{ownership.label}",
-                head=Literal(OWNS, (recv, z)),
-                body=(Literal(GIVE, (x, recv, z)),),
-            ).rename(self._tag)
-            yield derived, frozenset([label, ownership.label])
+            derived = Rule(f"{label}>{ownership.label}", Literal(OWNS, (recv, z)), (Literal(GIVE, (x, recv, z)),))
+            yield derived, self._tag, frozenset([label, ownership.label])
 
     def _solve_meta(self, goal, subst, depth):
         if goal.modality is Modality.INT and goal.positive:
@@ -516,19 +544,24 @@ class _Search:
         """Intending a rule's conclusion intends each of its preconditions.
 
         To prove int j: P, find a rule instance with P in its body and show
-        int j: head for that instance.
+        int j: head for that instance. The rule is never copied: `_bind`
+        names only the variables P leaves unbound.
         """
         reduction = self.theory.general_of(GeneralKind.REDUCTION)
         if reduction is None or goal.owner is None or is_var(subst.resolve(goal.owner)):
             return
         owner = subst.resolve(goal.owner)
         inner = subst.apply(goal.atom())
-        for r, charged in self._candidate_rules(inner):
+        key = shape(inner)
+        for r, tag, charged in self._candidate_rules(inner):
             for b in r.body:
-                s = unify(inner, b, subst)
+                if shape(b) != key:
+                    continue
+                fresh = _Fresh(tag)
+                s = _bind(b, inner, subst, fresh)
                 if s is None:
                     continue
-                head_goal = Literal(r.head.predicate, r.head.args, True, Modality.INT, owner)
+                head_goal = Literal(r.head.predicate, _fresh(r.head, fresh).args, True, Modality.INT, owner)
                 for s2, prem in self.solve(head_goal, s, depth - 1):
                     yield s2, prem | charged | {reduction.label}
 
@@ -656,50 +689,22 @@ class PlanOption:
         return not self.missing and not self.open_resource
 
 
-class _Bindings(dict):
-    """A head's bindings; a variable it leaves unbound gets the name `rename(0)` gives it."""
-
-    def __missing__(self, name: str) -> Variable:
-        return Variable(f"{name}'0")
-
-
-def _instance_body(rule: Rule, goal: Literal, ground: bool) -> Optional[list[Literal]]:
-    """The rule's body under the unifier of its head and the goal, or None if they do not unify.
-
-    Against a ground goal the unifier is a one-way match: a head variable takes the
-    goal's term where it first occurs, and every other head term must equal the goal's.
-    """
-    if not ground:
-        if not may_unify(goal, rule.head):  # no renaming mends a constant clash
-            return None
-        r = rule.rename(0)
-        s = unify(goal, r.head)
-        return None if s is None else [s.apply(b) for b in r.body]
-    bound = _Bindings()
-    for h, g in zip((rule.head.owner, *rule.head.args), (goal.owner, *goal.args)):
-        if type(h) is Variable:
-            if bound.setdefault(h.name, g) != g:
-                return None
-        elif h != g:
-            return None
-    return [_fresh(b, bound) for b in rule.body]
-
-
 def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
     """Rule instances concluding the goal atom, in declaration order, duplicates dropped."""
     me = Constant(agent)
-    ground = goal_atom.is_ground()
     out, seen = [], set()
     for _, label, rule in theory.shape_index().heads.get(shape(goal_atom), ()):
         key = rule.canonical()  # rules equal up to renaming match alike
         if key in seen:
             continue
         seen.add(key)
-        body = _instance_body(rule, goal_atom, ground)
-        if body is None:
+        fresh = _Fresh(0)
+        s = _bind(rule.head, goal_atom, EMPTY_SUBSTITUTION, fresh)
+        if s is None:
             continue
+        body = [_fresh(b, fresh) for b in rule.body]
         needed, missing, open_resource = [], [], False
-        for p in body:
+        for p in map(s.apply, body) if s else body:  # a ground goal binds no variable
             if p.predicate == OWNS and len(p.args) == 2 and p.args[0] == me:
                 if isinstance(p.args[1], Constant):
                     needed.append(p.args[1].symbol)

@@ -70,6 +70,25 @@ class TestConstructArgument:
         # the only proof of s(a) needs a complementary pair in its support
         assert construct_argument(theory, atom("s", "a")) is None
 
+    def test_consistency_is_checked_on_the_shrunk_support_when_a_drop_takes_more_with_it(self):
+        theory = Theory(
+            [
+                ("r1", rule("r1", atom("g"), atom("p", "c"), atom("p", "d"), atom("s", "d").complement())),
+                ("ra", rule("ra", atom("p", "X"), atom("s", "X"), atom("t", "X"))),
+                ("rb", rule("rb", atom("p", "X"), atom("q", "X"))),
+                ("rs", rule("rs", atom("s", "X"), atom("q", "X"))),
+                ("fqc", atom("q", "c")),
+                ("fqd", atom("q", "d")),
+                ("fnsd", atom("s", "d").complement()),
+                ("ftc", atom("t", "c")),
+            ]
+        )
+        # the first proof reads p(c) through ra, rs and ftc, though rs derives s(d) against fnsd;
+        # without ftc, p(c) comes from rb and the proof needs neither ra nor rs
+        arg = construct_argument(theory, atom("g"))
+        assert arg is not None and arg.labels() == {"r1", "rb", "fqc", "fqd", "fnsd"}
+        assert minimality_check(arg, theory)
+
 
 class TestMinimality:
     def test_exact_check_spots_redundancy(self, gamma_full):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -434,8 +435,8 @@ class TestShapeIndex:
         renamed = _record_renames(monkeypatch)
         proof = prove(theory, intends("a", atom("have", "a", "h")))
         assert proof is not None and proof.premises == frozenset({"c1", "g1", "G.2"})
-        # neither the unrelated rules nor a give -> have rule per ownership fact
-        assert renamed == ["c1"]
+        # the reduction binds c1's variables in place, and builds no give -> have rule
+        assert renamed == []
 
     def test_derived_theories_do_not_share_a_stale_index(self):
         theory = Theory([("rp", rule("rp", atom("p", "X"), atom("q", "X")))])
@@ -459,8 +460,8 @@ class TestShapeIndex:
         renamed = _record_renames(monkeypatch)
         proof = prove(theory, intends("a", atom("give", "b", "a", "r4")))
         assert proof is not None and {"h4", "G.1", "c1"} <= proof.premises
-        # one give -> have rule, from the one fact whose owner and resource match
-        assert [label for label in renamed if label.endswith(">G.1")] == ["h4>G.1"]
+        # the give -> have rule of h4 is bound in place, and c1 is not copied either
+        assert renamed == []
 
     def test_reduction_renames_only_the_rule_whose_constants_match(self, monkeypatch):
         theory = Theory(
@@ -471,8 +472,8 @@ class TestShapeIndex:
         renamed = _record_renames(monkeypatch)
         proof = prove(theory, intends("a", atom("have", "a", "r3")))
         assert proof is not None and proof.premises == frozenset({"c3", "i3", "G.2"})
-        # c0, c1 and c2 have the shape of have(a, r3), but r0, r1 and r2 clash with r3
-        assert renamed == ["c3"]
+        # c0, c1 and c2 have the shape of have(a, r3) and fail on its constant; c3 is bound in place
+        assert renamed == []
 
     def test_fresh_variable_names_follow_declaration_order(self):
         # r3 is reached after a failed nested search below r1, so its fresh
@@ -623,11 +624,11 @@ class TestPlanOptions:
         assert [o.label for o in plan_options(theory, "a", atom("can", "a", "x"))] == ["d2"]
         assert renamed == []
 
-    def test_a_goal_with_a_variable_is_unified_with_the_renamed_rule(self, monkeypatch):
+    def test_a_goal_with_a_variable_is_bound_without_renaming(self, monkeypatch):
         theory = Theory([("d1", rule("d1", atom("can", "Y", "go"), atom("have", "Y", "r")))])
         renamed = _record_renames(monkeypatch)
         assert plan_options(theory, "a", atom("can", "a", "X")) == [PlanOption("d1", ("r",), (), False)]
-        assert renamed == ["d1"]
+        assert renamed == []
 
     def test_variable_resource_sets_the_flag(self):
         theory = Theory(
@@ -647,7 +648,7 @@ def plan_options_by_unification(theory: Theory, agent: str, goal_atom: Literal) 
         if r.is_fact or key in seen:
             continue
         seen.add(key)
-        renamed = r.rename(0)
+        renamed = _replace_rename(r, 0)
         s = unify(goal_atom, renamed.head)
         if s is None:
             continue
@@ -918,6 +919,121 @@ def test_may_unify_rejects_only_pairs_no_renaming_unifies(a, b, tag):
     if not may_unify(a, b):
         assert unify(a, b) is None
         assert unify(a, Rule("r", b).rename(tag).head) is None
+
+
+RULE_TERMS = st.sampled_from([Variable("X"), Variable("Y"), Constant("a"), Constant("b")])  # repeats often
+GOAL_TERMS = st.sampled_from([Variable("X"), Variable("Y"), Variable("Z"), Constant("a"), Constant("b")])
+
+
+@st.composite
+def bindings_of_goal_variables(draw):
+    """A non-empty acyclic substitution: X may point at Y or Z, Y at Z, and any of them at a constant."""
+    names = ["X", "Y", "Z"]
+    out = {}
+    for i in draw(st.sets(st.integers(min_value=0, max_value=2), min_size=1)):
+        later = [Variable(n) for n in names[i + 1:]]
+        out[names[i]] = draw(st.sampled_from(later + [Constant("a"), Constant("b"), Constant("c")]))
+    return Substitution(out)
+
+
+@st.composite
+def rules_and_goals(draw):
+    """A rule, one of its literals, and a goal of that literal's shape."""
+
+    def rule_literal():
+        lit = Literal(draw(st.sampled_from(["p", "q"])), tuple(draw(st.lists(RULE_TERMS, max_size=3))))
+        if draw(st.booleans()):
+            lit = replace(lit, modality=Modality.INT, owner=draw(RULE_TERMS))
+        return lit
+
+    r = Rule("r", rule_literal(), tuple(rule_literal() for _ in range(draw(st.integers(0, 2)))))
+    lits = (r.head, *r.body)
+    at = draw(st.integers(min_value=0, max_value=len(lits) - 1))
+    lit = lits[at]
+    goal = replace(
+        lit,
+        args=tuple(draw(GOAL_TERMS) for _ in lit.args),
+        owner=None if lit.owner is None else draw(GOAL_TERMS),
+    )
+    return r, at, goal
+
+
+@settings(max_examples=400)
+@given(rules_and_goals(), bindings_of_goal_variables(), st.integers(min_value=0, max_value=50))
+def test_bind_is_unify_with_the_rule_renamed_apart(case, subst, tag):
+    r, at, goal = case
+    renamed = _replace_rename(r, tag)
+    want = unify(goal, (renamed.head, *renamed.body)[at], subst)
+    fresh = logic._Fresh(tag)
+    got = logic._bind((r.head, *r.body)[at], goal, subst, fresh)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.apply(goal) == want.apply(goal)
+        for mine, theirs in zip((r.head, *r.body), (renamed.head, *renamed.body)):
+            assert got.apply(logic._fresh(mine, fresh)) == want.apply(theirs)
+
+
+def _bind_by_renaming(lit: Literal, goal: Literal, subst: Substitution, fresh) -> Optional[Substitution]:
+    """The unifier `_bind` stands for: name every variable of the literal apart, then unify."""
+    for name in sorted(lit.variables()):
+        fresh[name] = Variable(f"{name}'{fresh.tag}")
+    return unify(goal, logic._fresh(lit, fresh), subst)
+
+
+AGENTS, RESOURCES = ["a", "b"], ["r", "s"]
+PLAN_TERMS = st.sampled_from(["X", "Y", *AGENTS, *RESOURCES])
+
+
+@st.composite
+def intention_theories(draw):
+    """Plans, holdings and goal intentions under ownership and reduction, and an `int` goal to prove."""
+
+    def plan_rule(n):
+        head = atom("can", draw(st.sampled_from(["X", *AGENTS])), draw(st.sampled_from(["go", "stay"])))
+        body = [
+            atom(draw(st.sampled_from(["have", "tool"])), *draw(st.lists(PLAN_TERMS, min_size=1, max_size=2)))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        ]
+        covered = {v for b in body for v in b.variables()}
+        body += [atom("have", "X", v) for v in sorted(head.variables() - covered)]  # range-restricted
+        return (f"c{n}", rule(f"c{n}", head, *body))
+
+    rules = [plan_rule(n) for n in range(draw(st.integers(min_value=1, max_value=4)))]
+    holding = st.builds(atom, st.just("have"), st.sampled_from(AGENTS), st.sampled_from(RESOURCES))
+    facts = draw(st.lists(holding, max_size=3, unique=True))
+    wants = st.tuples(st.sampled_from(AGENTS), st.sampled_from(["go", "stay"]))
+    wanted = draw(st.lists(wants, min_size=1, max_size=3, unique=True))
+    facts += [intends(x, atom("can", x, g)) for x, g in wanted]
+    entries = draw(st.permutations(rules + [(f"f{i}", f) for i, f in enumerate(facts)]))
+    general = [GeneralRule("G.1", GeneralKind.OWNERSHIP), GeneralRule("G.2", GeneralKind.REDUCTION)]
+    # mostly a precondition of some plan, some of its terms made variables or other constants
+    precondition = draw(st.sampled_from([b for _, r in rules for b in r.body]))
+    terms = [st.one_of(st.just(t), PLAN_TERMS) for t in precondition.args]
+    inner = draw(
+        st.one_of(
+            st.builds(atom, st.just(precondition.predicate), *terms),
+            st.builds(atom, st.just("give"), PLAN_TERMS, PLAN_TERMS, PLAN_TERMS),
+        )
+    )
+    return Theory(entries, general), intends(draw(st.sampled_from([x for x, _ in wanted] + AGENTS)), inner)
+
+
+def _outcome(theory: Theory, goal: Literal):
+    try:
+        return prove(theory, goal, depth=8)
+    except DepthExceeded:
+        return DepthExceeded
+
+
+@settings(max_examples=300, deadline=None)
+@given(intention_theories())
+def test_prove_binding_in_place_equals_prove_renaming_apart(case):
+    theory, goal = case
+    got = _outcome(theory, goal)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logic, "_bind", _bind_by_renaming)
+        want = _outcome(theory, goal)
+    assert got == want
 
 
 def test_literal_owner_checks_keep_their_messages():
