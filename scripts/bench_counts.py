@@ -2,15 +2,18 @@
 
 Run from anywhere in a checkout:
 
-    python3 scripts/bench_counts.py BENCH_18.json   # write this checkout's counts
+    python3 scripts/bench_counts.py BENCH_19.json   # write this checkout's counts
     python3 scripts/bench_counts.py                 # check them against the newest BENCH_<n>.json
 
 Each of the four workloads runs traced for one second on seeds 1-3. A run
-is recorded as its output digest and every `.calls` count. Both are fixed
-for a seed, whatever the machine's speed, so the check requires exact
-equality. It exits 1 on any difference and on a run whose output the
-benchmark does not call correct. Before it writes a file, it prints that
-file's differences from the newest other `BENCH_<n>.json`, and exits 0.
+is recorded as its output digest and every metric whose unit is `count`:
+the `.calls` of each traced function and the work counts beside them
+(shrink re-proofs, depth-bound hits, mediation rounds, revised items,
+oracle candidates). Both are fixed for a seed, whatever the machine's
+speed, so the check requires exact equality. It exits 1 on any
+difference and on a run whose output the benchmark does not call correct.
+Before it writes a file, it prints that file's differences from the newest
+other `BENCH_<n>.json`, and exits 0.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def measure(workload: str, seed: int) -> dict:
         raise SystemExit(f"{workload} seed {seed}: the benchmark reports an incorrect output")
     return {
         "digest": re.search(r"digest ([0-9a-f]{64})", lines[0]).group(1),
-        "calls": {k: m["value"] for k, m in result["metrics"].items() if k.endswith(".calls")},
+        "counts": {k: m["value"] for k, m in result["metrics"].items() if m["unit"] == "count"},
     }
 
 
@@ -52,13 +55,17 @@ def newest(other_than: Path | None = None) -> Path:
     return max(numbered)[1]
 
 
+def _counts(run: dict) -> dict:
+    return run.get("counts", run.get("calls", {}))  # files up to BENCH_18.json hold only the `.calls`
+
+
 def differences(want: dict, got: dict) -> list[str]:
     out = []
     for run in sorted(want.keys() | got.keys()):
         w, g = want.get(run, {}), got.get(run, {})
         if w.get("digest") != g.get("digest"):
             out.append(f"{run}: digest {w.get('digest')} -> {g.get('digest')}")
-        wc, gc = w.get("calls", {}), g.get("calls", {})
+        wc, gc = _counts(w), _counts(g)
         out += [f"{run}: {k} {wc.get(k)} -> {gc.get(k)}" for k in sorted(wc.keys() | gc.keys()) if wc.get(k) != gc.get(k)]
     return out
 

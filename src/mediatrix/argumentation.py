@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .lang import Literal
+from .lang import Literal, shape
 from .logic import (
     DEFAULT_PROOF_DEPTH,
     DepthExceeded,
@@ -21,6 +21,7 @@ from .logic import (
     GeneralRule,
     Theory,
     consistent,
+    provable_shapes,
     prove,
 )
 
@@ -96,7 +97,9 @@ def construct_argument(
     The proof's premises are shrunk to a minimal support by dropping
     candidates in reverse declaration order and re-proving after each drop,
     so the result is deterministic and biased toward keeping earlier
-    entries. A support that turns out inconsistent is discarded.
+    entries. A drop after which no literal of omega's shape is provable
+    (`provable_shapes`) is not re-proved. A support that turns out
+    inconsistent is discarded.
     """
     proof = prove(delta, omega, depth)
     if proof is None:
@@ -109,6 +112,8 @@ def construct_argument(
     for label in reversed(order):
         if label not in working or len(working) == 1:
             continue
+        if shape(omega) not in provable_shapes(support, working - {label}):
+            continue  # no proof at any depth without the label: it stays, as a failed re-proof keeps it
         candidate = support.restricted(working - {label})
         try:
             smaller = prove(candidate, omega, depth)

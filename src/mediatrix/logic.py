@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .lang import (
@@ -209,6 +210,11 @@ class ShapeIndex:
     heads: dict[tuple, list[tuple[int, str, Rule]]] = field(default_factory=dict)
     bodies: dict[tuple, list[tuple[int, str, Rule]]] = field(default_factory=dict)
     rule_count: int = 0
+
+    @cached_property
+    def owned(self) -> list[tuple[str, Literal]]:
+        """The ground `have` facts, listed on first use: only the ownership and parsimony principles read them."""
+        return [entry for entry in self.facts.get(HAVE, ()) if entry[1].is_ground()]
 
 
 class Theory:
@@ -515,11 +521,7 @@ class _Search:
         ownership = self.theory.general_of(GeneralKind.OWNERSHIP)
         if ownership is None:
             return
-        owned = [
-            (label, fact)
-            for label, fact in self.index.facts.get(HAVE, ())
-            if fact.is_ground()
-        ]
+        owned = self.index.owned
         if inner.predicate != GIVE or len(inner.args) != 3:
             self._tag += 2 * len(owned)
             return
@@ -608,10 +610,7 @@ class _Search:
         if resource.symbol not in needed:
             return
         holding = Literal(OWNS, (giver, resource))
-        have_label = next(
-            (label for label, fact in self.index.facts.get(HAVE, ()) if fact == holding),
-            None,
-        )
+        have_label = next((label for label, fact in self.index.owned if fact == holding), None)
         if have_label is None:
             return
         premises = {goal_label, rule_label, have_label, parsimony.label, reduction.label}
@@ -748,3 +747,39 @@ def prove(theory: Theory, goal: Literal, depth: int = DEFAULT_PROOF_DEPTH) -> Op
     if search.depth_hit:
         raise DepthExceeded(f"no proof of {goal} within depth {depth}")
     return None
+
+
+def _intended(lit: Literal) -> tuple:
+    """The shape of `int j: p(...)` for the literal's predicate and arity: what the reduction reads."""
+    return (Modality.INT, True, lit.predicate, len(lit.args), True)
+
+
+def provable_shapes(theory: Theory, keep: set[str]) -> set[tuple]:
+    """Shapes of every literal `prove` could answer in `theory.restricted(keep)`, at any depth.
+
+    The least fixpoint of `_Search` read on literal shapes alone: constants, the
+    depth bound and absence conditions are ignored, so the set can only be too
+    large, and a goal whose shape is outside it has no proof. A label keeps its
+    entry and any general rule of that label, as `Theory.restricted` does.
+    """
+    kinds = {g.kind for g in theory.general if g.label in keep}
+    kept = [theory.lookup(label) for label in keep]
+    shapes = {shape(e) for e in kept if isinstance(e, Literal)}
+    rules = [e for e in kept if isinstance(e, Rule) and not e.is_fact]  # a bodiless rule is not indexed
+    reduction, owns = GeneralKind.REDUCTION in kinds, HAVE in shapes
+    if owns and GeneralKind.GENEROSITY in kinds:
+        shapes.add((Modality.INT, False, OWNS, 2, True))
+    if owns and reduction and GeneralKind.PARSIMONY in kinds:
+        shapes.add(GIVE_REFUSED)
+    transfers = owns and reduction and GeneralKind.OWNERSHIP in kinds
+    size = -1
+    while size != len(shapes):
+        size = len(shapes)
+        for r in rules:
+            if all(shape(b) in shapes for b in r.body):
+                shapes.add(shape(r.head))
+            if reduction and _intended(r.head) in shapes:
+                shapes.update(_intended(b) for b in r.body if b.positive and b.modality is Modality.NONE)
+        if transfers and (Modality.INT, True, OWNS, 2, True) in shapes:
+            shapes.add(GIVE_INTENDED)  # the ownership principle's give(x, Y, z) -> have(Y, z)
+    return shapes

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from mediatrix import argumentation
 from mediatrix.argumentation import (
     AttackKind,
     Verdict,
@@ -7,13 +8,25 @@ from mediatrix.argumentation import (
     evaluate,
 )
 from mediatrix.lang import atom, intends
-from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory
+from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory, prove
 
 from checkers import find_attacks, minimality_check
 
 
 def rule(label, head, *body):
     return Rule(label, head, tuple(body))
+
+
+def proofs_of(monkeypatch) -> list[Theory]:
+    """The theories `construct_argument` proves in from now on, in call order."""
+    proved = []
+
+    def recording(theory, *rest):
+        proved.append(theory)
+        return prove(theory, *rest)
+
+    monkeypatch.setattr(argumentation, "prove", recording)
+    return proved
 
 
 class TestConstructArgument:
@@ -70,7 +83,7 @@ class TestConstructArgument:
         # the only proof of s(a) needs a complementary pair in its support
         assert construct_argument(theory, atom("s", "a")) is None
 
-    def test_consistency_is_checked_on_the_shrunk_support_when_a_drop_takes_more_with_it(self):
+    def test_consistency_is_checked_on_the_shrunk_support_when_a_drop_takes_more_with_it(self, monkeypatch):
         theory = Theory(
             [
                 ("r1", rule("r1", atom("g"), atom("p", "c"), atom("p", "d"), atom("s", "d").complement())),
@@ -85,9 +98,22 @@ class TestConstructArgument:
         )
         # the first proof reads p(c) through ra, rs and ftc, though rs derives s(d) against fnsd;
         # without ftc, p(c) comes from rb and the proof needs neither ra nor rs
+        proved = proofs_of(monkeypatch)
         arg = construct_argument(theory, atom("g"))
         assert arg is not None and arg.labels() == {"r1", "rb", "fqc", "fqd", "fnsd"}
         assert minimality_check(arg, theory)
+        # g's shape stays provable without ftc, so that drop is re-proved: the shrink takes ra and rs with it
+        assert set(proved[0].labels()) - set(proved[1].labels()) == {"ftc"}
+
+    def test_case_study_transfer_arguments_take_one_proof_each(self, gamma_full, monkeypatch):
+        # without any one support label, no int give/3 literal is provable at all
+        for goal, support in [
+            (intends("beta", atom("give", "alpha", "beta", "screw")), {"G.1", "G.2", "M.2", "M.5", "M.7"}),
+            (intends("alpha", atom("give", "beta", "alpha", "nail")), {"G.1", "G.2", "M.4", "M.9", "M.10"}),
+        ]:
+            proved = proofs_of(monkeypatch)
+            arg = construct_argument(gamma_full, goal)
+            assert arg.labels() == support and len(proved) == 1
 
 
 class TestMinimality:

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mediatrix import logic
@@ -25,6 +25,7 @@ from mediatrix.lang import (
     atom,
     intends,
     may_unify,
+    shape,
     unify,
 )
 from mediatrix.agent import AgentState, GiveAction, plan
@@ -533,6 +534,31 @@ def _agent(beliefs, intentions=()) -> AgentState:
     )
 
 
+class TestProvableShapes:
+    def test_owned_lists_the_ground_have_facts_in_order(self):
+        h1, h2 = atom("have", "a", "r"), atom("have", "b", "s")
+        theory = Theory([("h1", h1), ("hx", atom("have", "a", "X")), ("n2", h2.complement()), ("h2", h2)])
+        assert theory.shape_index().owned == [("h1", h1), ("h2", h2)]
+
+    def test_a_label_keeps_its_entry_and_its_general_rule(self):
+        theory = Theory([("G.3", atom("have", "a", "r"))], [GeneralRule("G.3", GeneralKind.GENEROSITY, "a")])
+        declined = intends("a", atom("have", "a", "r")).complement()
+        assert logic.provable_shapes(theory, {"G.3"}) == {HAVE, shape(declined)}
+        assert prove(theory, declined).premises == {"G.3"}
+        assert logic.provable_shapes(theory, set()) == set()
+
+    def test_a_bodiless_rule_proves_nothing(self):
+        theory = Theory([("r", Rule("r", atom("p", "a")))])
+        assert logic.provable_shapes(theory, {"r"}) == set() and prove(theory, atom("p", "a")) is None
+
+    def test_reduction_reaches_a_transfer_through_the_ownership_principle(self, gamma_full):
+        keep = {"G.1", "G.2", "M.2", "M.5", "M.7"}
+        goal = intends("beta", atom("give", "alpha", "beta", "screw"))
+        assert prove(gamma_full.restricted(keep), goal).premises == keep
+        assert GIVE_INTENDED in logic.provable_shapes(gamma_full, keep)
+        assert all(GIVE_INTENDED not in logic.provable_shapes(gamma_full, keep - {label}) for label in keep)
+
+
 class TestOwnershipView:
     def test_first_owner_wins_but_every_holding_counts(self):
         theory = Theory(
@@ -1034,6 +1060,82 @@ def test_prove_binding_in_place_equals_prove_renaming_apart(case):
         patch.setattr(logic, "_bind", _bind_by_renaming)
         want = _outcome(theory, goal)
     assert got == want
+
+
+@st.composite
+def shape_theories(draw):
+    """A small theory that can answer in every way `_Search` does, labels to keep, and a goal.
+
+    Facts are plain or `int`, positive or negative, over `have`, `give`, `can` and `p`; beside
+    plans, rules have plain, `int`, negative, recursive and absence body literals; the
+    ownership, reduction, generosity and parsimony principles are each present or not. The
+    goal is mostly a transfer intention, a refusal or a declined holding.
+    """
+    predicates = st.sampled_from([("have", 2), ("give", 3), ("can", 2), ("p", 1)])
+    agents, resources = st.sampled_from(AGENTS), st.sampled_from(RESOURCES)
+
+    def literal(terms, owners):
+        pred, n = draw(predicates)
+        lit = atom(pred, *draw(st.lists(terms, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            lit = intends(draw(owners), lit)
+        return lit.complement() if draw(st.integers(0, 3)) == 0 else lit
+
+    held = draw(st.lists(st.tuples(agents, resources), min_size=1, max_size=3))
+    facts = [atom("have", x, z) for x, z in held]
+    facts += [intends(x, atom("can", x, "go")) for x in draw(st.lists(agents, min_size=1, max_size=2))]
+    facts += [literal(st.sampled_from([*AGENTS, *RESOURCES, "go"]), agents) for _ in range(draw(st.integers(0, 2)))]
+    terms, owners = st.sampled_from(["X", "Y", *AGENTS, *RESOURCES, "go"]), st.sampled_from(["X", *AGENTS])
+    rules = []
+    for n in range(draw(st.integers(1, 2))):  # plans
+        needed = draw(st.lists(resources, min_size=1, max_size=2, unique=True))
+        rules.append(rule(f"c{n}", atom("can", "X", "go"), *(atom("have", "X", r) for r in needed)))
+    for n in range(len(rules), len(rules) + draw(st.integers(0, 2))):
+        head = literal(terms, owners)
+        body = [literal(terms, owners) for _ in range(draw(st.integers(0, 2)))]
+        if draw(st.integers(0, 3)) == 0:
+            body.append(head)  # recursive
+        naf = [literal(terms, agents)] if draw(st.integers(0, 3)) == 0 else []
+        covered = {v for b in body + naf for v in b.variables()}
+        body += [atom("have", v, "r") for v in sorted(head.variables() - covered)]  # range-restricted
+        rules.append(rule(f"c{n}", head, *body, naf=naf))
+    facts = [(f"f{i}", f) for i, f in enumerate(dict.fromkeys(facts))]
+    entries = draw(st.permutations([(r.label, r) for r in rules] + facts))
+    principles = [
+        GeneralRule("G.1", GeneralKind.OWNERSHIP),
+        GeneralRule("G.2", GeneralKind.REDUCTION),
+        GeneralRule("G.3", GeneralKind.GENEROSITY, draw(agents)),
+        GeneralRule("G.6", GeneralKind.PARSIMONY),
+    ]
+    theory = Theory(entries, [g for g in principles if draw(st.integers(0, 4))])
+    labels = theory.labels() + [g.label for g in theory.general]
+    keep = set(labels) - draw(st.sets(st.sampled_from(labels), max_size=2)) if labels else set()
+    x, z = draw(st.sampled_from(held))  # mostly about a holding
+    transfer = atom("give", x, draw(st.sampled_from(["Y", *AGENTS])), z)
+    goal = draw(
+        st.sampled_from(
+            [
+                intends(draw(agents), transfer),
+                intends(x, transfer).complement(),
+                intends(x, atom("have", x, z)).complement(),
+                literal(terms, agents),
+            ]
+        )
+    )
+    return theory, keep, goal
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape_theories())
+def test_a_goal_of_a_shape_outside_provable_shapes_has_no_proof(case):
+    theory, keep, goal = case
+    kept = theory.restricted(keep)
+    try:  # the stratum absence conditions read; `prove` raises on its clash before any answer
+        forward_chain(kept.filtered(lambda l, e: isinstance(e, Literal) or not e.naf))
+    except InconsistentTheory:
+        assume(False)
+    if shape(goal) not in logic.provable_shapes(theory, keep):
+        assert _outcome(kept, goal) in (None, DepthExceeded)
 
 
 def test_literal_owner_checks_keep_their_messages():

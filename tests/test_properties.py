@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -13,7 +14,17 @@ from mediatrix import mediator, parse_scenario
 from mediatrix.agent import Message, MessageKind, RealismViolation, bridge_step
 from mediatrix.argumentation import AttackKind, Verdict, construct_argument, evaluate
 from mediatrix.lang import apply, atom, intends, unify
-from mediatrix.logic import DepthExceeded, InconsistentTheory, Rule, Theory, consistent, forward_chain, prove
+from mediatrix.logic import (
+    HAVE,
+    DepthExceeded,
+    InconsistentTheory,
+    Rule,
+    Theory,
+    consistent,
+    forward_chain,
+    ground_args,
+    prove,
+)
 from mediatrix.mediator import IncoherentInput, mediate, revise
 from mediatrix.transcript import (
     SCHEMA_VERSION,
@@ -32,7 +43,7 @@ from mediatrix.transcript import (
 )
 
 from checkers import find_attacks, minimality_check
-from generators import AGENTS, make_case, make_scenario
+from generators import AGENTS, MEDIATOR, make_case, make_scenario
 
 CONSTS = ["a", "b", "c"]
 VARS1 = ["X1", "Y1"]
@@ -103,6 +114,44 @@ def test_argument_minimality_and_consistency(seed):
         if len(arg.support) <= 10:
             assert minimality_check(arg, gamma), str(arg)
         assert consistent(gamma.restricted(arg.labels()))
+
+
+class _EveryShape:
+    """A closure that refutes nothing: every drop of the shrink is re-proved."""
+
+    def __contains__(self, key) -> bool:
+        return True
+
+
+def _argument(theory: Theory, goal):
+    try:
+        return construct_argument(theory, goal)
+    except DepthExceeded:
+        return DepthExceeded
+
+
+def _transfer_theories(seed: int):
+    """A `make_case` mediator theory, or a `make_scenario` run's agent theories and their union."""
+    rng = random.Random(seed)
+    if seed % 2:
+        return [make_case(rng)[0]]
+    scenario = make_scenario(rng)
+    deltas = [a.delta() for a in scenario.agents]
+    union = scenario.mediator.theory.extended([e for d in deltas for e in d.entries()])
+    return deltas + [union]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_skipping_refuted_reproofs_changes_no_argument(seed):
+    for theory in _transfer_theories(seed):
+        resources = sorted({r for _, r in ground_args(theory, HAVE)})
+        for giver, taker, resource in itertools.product((*AGENTS, MEDIATOR), AGENTS, resources):
+            intention = intends(taker, atom("give", giver, taker, resource))
+            for goal in (intention, intention.complement()):
+                got = _argument(theory, goal)
+                with patch("mediatrix.argumentation.provable_shapes", lambda *_: _EveryShape()):
+                    assert _argument(theory, goal) == got, str(goal)
 
 
 @settings(max_examples=150, deadline=None)
