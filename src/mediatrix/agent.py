@@ -156,7 +156,7 @@ class AgentState:
 
     def intention(self, fact: Literal) -> Literal:
         """A fact of the intention unit as the agent's `int` literal."""
-        return replace(fact, modality=Modality.INT, owner=Constant(self.id))
+        return Literal(fact.predicate, fact.args, fact.positive, Modality.INT, Constant(self.id))
 
     def goals(self) -> list[tuple[str, Literal]]:
         """The plain goal facts of the intention unit, in declaration order.
@@ -203,7 +203,7 @@ def plan(agent: AgentState, goal: Literal) -> list[Plan]:
     other unmet preconditions.
     """
     inner = goal.atom()
-    negated = replace(inner, positive=False)
+    negated = inner.complement()
     if agent.unit("I").has_fact(negated):
         return []
     have = agent.owned() | holdings(agent.unit("B"), agent.id)

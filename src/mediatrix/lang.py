@@ -8,18 +8,34 @@ explicit polarity, and a predicate over flat terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Union
 
+# one object per constant symbol: the table holds every distinct symbol the process has read
+_CONSTANTS: dict[str, "Constant"] = {}
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Constant:
+    """A constant symbol. There is one object per symbol, so `==` and `hash` are identity."""
+
+    __slots__ = ("symbol",)
     symbol: str
 
-    def __post_init__(self):
-        if not self.symbol:
-            raise ValueError("empty constant symbol")
+    def __new__(cls, symbol: str) -> "Constant":
+        c = _CONSTANTS.get(symbol)
+        if c is None:
+            if not symbol:
+                raise ValueError("empty constant symbol")
+            c = object.__new__(cls)
+            object.__setattr__(c, "symbol", symbol)
+            c = _CONSTANTS.setdefault(symbol, c)
+        return c
+
+    def __reduce__(self):
+        return Constant, (self.symbol,)  # loading interns again
 
     def __str__(self) -> str:
         return self.symbol
@@ -52,51 +68,43 @@ class Modality(Enum):
     DES = "des"
     INT = "int"
 
+    __hash__ = object.__hash__  # members are singletons; `Enum.__hash__` runs in Python
 
-_set = object.__setattr__
+
+_new = tuple.__new__  # builds a literal without `Literal.__new__`'s checks, for fields known valid
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Literal:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Literal(namedtuple("_LiteralFields", "predicate args positive modality owner")):
+    """An immutable tuple of five named fields, so it is built, hashed and compared in C.
+
+    `Literal(...)` and `dataclasses.replace` check that an owner comes with a
+    modality and only with one; code that rebuilds a valid literal with other
+    terms or polarity calls `_new` and skips the checks.
+    """
+
+    __slots__ = ()
     predicate: str
     args: tuple[Term, ...]
     positive: bool
     modality: Modality
     owner: Optional[Term]
-    # filled on first use by `__hash__`: a literal is hashed by every set and dict it meets
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, predicate: str, args: tuple[Term, ...] = (), positive: bool = True,
-                 modality: Modality = Modality.NONE, owner: Optional[Term] = None):
-        # written out: cheaper than the generated frozen `__init__` followed by `__post_init__`
+    def __new__(cls, predicate: str, args: tuple[Term, ...] = (), positive: bool = True,
+                modality: Modality = Modality.NONE, owner: Optional[Term] = None) -> "Literal":
         if owner is None and modality is not Modality.NONE:
             raise ValueError(f"{modality.value} literal needs an owner")
         if owner is not None and modality is Modality.NONE:
             raise ValueError("plain literal cannot carry an owner")
-        _set(self, "predicate", predicate)
-        _set(self, "args", args)
-        _set(self, "positive", positive)
-        _set(self, "modality", modality)
-        _set(self, "owner", owner)
-        _set(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            key = (self.predicate, self.args, self.positive, self.modality, self.owner)
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so a cached one must not be pickled
-        return Literal, (self.predicate, self.args, self.positive, self.modality, self.owner)
+        return _new(cls, (predicate, args, positive, modality, owner))
 
     def complement(self) -> "Literal":
         """Classical complement: flips polarity only."""
-        return Literal(self.predicate, self.args, not self.positive, self.modality, self.owner)
+        return _new(Literal, (self.predicate, self.args, not self.positive, self.modality, self.owner))
 
     def atom(self) -> "Literal":
         """The embedded plain atom, stripped of modality and polarity."""
-        return Literal(self.predicate, self.args)
+        return _new(Literal, (self.predicate, self.args, True, Modality.NONE, None))
 
     def is_ground(self) -> bool:
         if self.owner is not None and is_var(self.owner):
@@ -134,7 +142,7 @@ def modal(modality: Modality, owner: Union[Term, str], lit: Literal) -> Literal:
     """Wrap a plain literal with a modality; keeps the literal's polarity."""
     if lit.modality is not Modality.NONE:
         raise ValueError("cannot nest modal literals")
-    return replace(lit, modality=modality, owner=_term(owner))
+    return Literal(lit.predicate, lit.args, lit.positive, modality, _term(owner))
 
 
 def intends(owner: Union[Term, str], lit: Literal) -> Literal:
@@ -175,7 +183,7 @@ class Substitution:
     def apply(self, lit: Literal) -> Literal:
         owner = self.resolve(lit.owner) if lit.owner is not None else None
         args = tuple(self.resolve(a) for a in lit.args)
-        return Literal(lit.predicate, args, lit.positive, lit.modality, owner)
+        return _new(Literal, (lit.predicate, args, lit.positive, lit.modality, owner))
 
     def items(self) -> list[tuple[str, Term]]:
         return sorted((v, self.resolve(Variable(v))) for v in self._map)
@@ -234,7 +242,7 @@ def may_unify(a: Literal, b: Literal) -> bool:
     Its one caller, `logic._Search.solve`, passes rule heads of the goal's own shape; a False
     answer is sound whether or not the shapes are equal."""
     for x, y in zip((a.owner, *a.args), (b.owner, *b.args)):
-        if type(x) is Constant and type(y) is Constant and x.symbol != y.symbol:
+        if type(x) is Constant and type(y) is Constant and x is not y:
             return False
     return True
 

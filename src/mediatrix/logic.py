@@ -22,6 +22,7 @@ from .lang import (
     Substitution,
     Term,
     Variable,
+    _new,
     is_var,
     may_unify,
     shape,
@@ -127,7 +128,7 @@ def _fresh(lit: Literal, fresh: dict[str, Term]) -> Literal:
     """The literal with each variable replaced by the term the map gives its name."""
     owner = fresh[lit.owner.name] if type(lit.owner) is Variable else lit.owner
     args = tuple(fresh[a.name] if type(a) is Variable else a for a in lit.args)
-    return Literal(lit.predicate, args, lit.positive, lit.modality, owner)
+    return _new(Literal, (lit.predicate, args, lit.positive, lit.modality, owner))
 
 
 def _bind(lit: Literal, goal: Literal, subst: Substitution, fresh: _Fresh) -> Optional[Substitution]:
@@ -167,6 +168,8 @@ class GeneralKind(Enum):
     BENEVOLENCE = "benevolence"      # grant a request for an unneeded item
     PARSIMONY = "parsimony"          # refuse transfers of items the owner's plan needs
     UNIQUE_CHOICE = "unique_choice"  # commit to exactly one plan per goal
+
+    __hash__ = object.__hash__  # members are singletons; `Enum.__hash__` runs in Python
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,28 @@ class Theory:
             facts = (e for _, e in self._entries if isinstance(e, Literal))
             self._clash = next((f for f in facts if f.complement() in self._keys), None)
         return self._clash
+
+    @cached_property
+    def label_shapes(self) -> dict[str, tuple]:
+        """What `provable_shapes` reads of each label, found once per theory.
+
+        A label maps to the shape of its fact, or None; its non-fact rule as
+        (head shape, body shapes, the head's intended shape, the intended shapes of
+        its plain positive body literals), or None; and the kinds of its general
+        rules. A bodiless rule is not indexed, so its label is left out.
+        """
+        out: dict[str, tuple] = {}
+        for label, item in self._entries:
+            if isinstance(item, Literal):
+                out[label] = (shape(item), None, ())
+            elif not item.is_fact:
+                body = tuple(dict.fromkeys(shape(b) for b in item.body))
+                intended = tuple(_intended(b) for b in item.body if b.positive and b.modality is Modality.NONE)
+                out[label] = (None, (shape(item.head), body, _intended(item.head), intended), ())
+        for g in self.general:
+            fact, rule, kinds = out.get(g.label, (None, None, ()))
+            out[g.label] = (fact, rule, kinds + (g.kind,))
+        return out
 
     def general_of(self, kind: GeneralKind) -> Optional[GeneralRule]:
         for g in self.general:
@@ -762,10 +787,11 @@ def provable_shapes(theory: Theory, keep: set[str]) -> set[tuple]:
     large, and a goal whose shape is outside it has no proof. A label keeps its
     entry and any general rule of that label, as `Theory.restricted` does.
     """
-    kinds = {g.kind for g in theory.general if g.label in keep}
-    kept = [theory.lookup(label) for label in keep]
-    shapes = {shape(e) for e in kept if isinstance(e, Literal)}
-    rules = [e for e in kept if isinstance(e, Rule) and not e.is_fact]  # a bodiless rule is not indexed
+    by_label = theory.label_shapes
+    kept = [by_label[label] for label in keep if label in by_label]
+    kinds = {kind for _, _, label_kinds in kept for kind in label_kinds}
+    shapes = {fact for fact, _, _ in kept if fact is not None}
+    rules = [rule for _, rule, _ in kept if rule is not None]
     reduction, owns = GeneralKind.REDUCTION in kinds, HAVE in shapes
     if owns and GeneralKind.GENEROSITY in kinds:
         shapes.add((Modality.INT, False, OWNS, 2, True))
@@ -775,11 +801,11 @@ def provable_shapes(theory: Theory, keep: set[str]) -> set[tuple]:
     size = -1
     while size != len(shapes):
         size = len(shapes)
-        for r in rules:
-            if all(shape(b) in shapes for b in r.body):
-                shapes.add(shape(r.head))
-            if reduction and _intended(r.head) in shapes:
-                shapes.update(_intended(b) for b in r.body if b.positive and b.modality is Modality.NONE)
+        for head, body, intended_head, intended_body in rules:
+            if all(b in shapes for b in body):
+                shapes.add(head)
+            if reduction and intended_head in shapes:
+                shapes.update(intended_body)
         if transfers and (Modality.INT, True, OWNS, 2, True) in shapes:
             shapes.add(GIVE_INTENDED)  # the ownership principle's give(x, Y, z) -> have(Y, z)
     return shapes

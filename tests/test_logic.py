@@ -928,15 +928,49 @@ def test_rename_matches_replace(r, tag):
     assert r.rename(tag).canonical() == r.canonical()
 
 
-@settings(max_examples=200)
-@given(LITERALS)
-def test_equal_literals_hash_equal_and_the_cache_is_invisible(lit):
-    twin = Literal(lit.predicate, lit.args, lit.positive, lit.modality, lit.owner)
-    hash(lit)  # fills the cache on one side only
-    assert twin == lit and repr(twin) == repr(lit) and "_hash" not in repr(lit)
-    assert hash(twin) == hash(lit)
-    back = replace(lit.complement(), positive=lit.positive)
-    assert back == lit and hash(back) == hash(lit)
+BUILDERS = {
+    "constructor": lambda lit, s, tag: Literal(lit.predicate, lit.args, lit.positive, lit.modality, lit.owner),
+    "replace": lambda lit, s, tag: replace(lit.complement(), positive=lit.positive),
+    "atom": lambda lit, s, tag: atom(lit.predicate, *lit.args),
+    "intends": lambda lit, s, tag: intends(lit.owner or "a", lit.atom()),
+    "complement": lambda lit, s, tag: lit.complement(),
+    "apply": lambda lit, s, tag: s.apply(lit),
+    "fresh": lambda lit, s, tag: logic._fresh(lit, logic._Fresh(tag)),
+    "pickle": lambda lit, s, tag: pickle.loads(pickle.dumps(lit)),
+}
+BUILT = st.builds(
+    lambda how, lit, bindings, tag: BUILDERS[how](lit, Substitution(bindings), tag),
+    st.sampled_from(sorted(BUILDERS)),
+    LITERALS,
+    st.dictionaries(st.sampled_from(["X", "Y", "Z"]), TERMS),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+def _spelled(lit: Literal) -> tuple:
+    """The five fields with each term spelled out, so equality does not lean on interning."""
+    def term(t):
+        return None if t is None else (type(t).__name__, str(t))
+
+    return (lit.predicate, tuple(map(term, lit.args)), lit.positive, lit.modality.value, term(lit.owner))
+
+
+@settings(max_examples=300)
+@given(st.text(min_size=1, max_size=4), st.lists(BUILT, min_size=2, max_size=4), st.lists(RULES, max_size=3))
+def test_term_layer_values_are_equal_iff_their_fields_are(symbol, built, rules):
+    assert Constant(symbol) is Constant(symbol) is pickle.loads(pickle.dumps(Constant(symbol)))
+    for lit in built:
+        assert (lit.owner is None) == (lit.modality is Modality.NONE)
+    for a, b in itertools.product(built, repeat=2):
+        assert (a == b) == (_spelled(a) == _spelled(b))
+        assert a != b or (hash(a) == hash(b) and repr(a) == repr(b))
+    facts = [(f"f{i}", lit) for i, lit in enumerate(dict.fromkeys(built))]
+    kept = [(f"r{i}", r) for i, r in enumerate(rules) if r.range_restricted()]
+    theory = Theory(facts + kept)
+    rule_keys = theory._keys - {lit for _, lit in facts}
+    assert len(rule_keys) == len({r.canonical() for _, r in kept})
+    assert not any(lit == key for _, lit in facts for key in rule_keys)
+    assert all(theory.has_fact(lit) for _, lit in facts)
 
 
 @settings(max_examples=300)
@@ -1150,12 +1184,11 @@ def test_literal_owner_checks_keep_their_messages():
         replace(intends("b", atom("p", "a")), modality=Modality.NONE)
 
 
-def test_pickle_does_not_carry_the_cached_hash():
+def test_a_pickled_literal_meets_its_twin_in_another_process():
     lit = intends("alpha", atom("have", "alpha", "nail"))
-    hash(lit)
     data = pickle.dumps(lit)
-    assert pickle.loads(data) == lit and pickle.loads(data)._hash is None
-    # string hashes depend on the process's seed: the loaded literal must meet a fresh twin
+    assert pickle.loads(data) == lit
+    # string and identity hashes differ between processes: the loaded literal must meet a fresh twin
     code = (
         "import pickle, sys; from mediatrix.lang import atom, intends; "
         "lit = pickle.loads(sys.stdin.buffer.read()); "
