@@ -928,18 +928,69 @@ def test_rename_matches_replace(r, tag):
     assert r.rename(tag).canonical() == r.canonical()
 
 
+@settings(max_examples=200)
+@given(LITERALS)
+def test_equal_literals_hash_equal_and_the_cache_is_invisible(lit):
+    twin = Literal(lit.predicate, lit.args, lit.positive, lit.modality, lit.owner)
+    assert twin == lit and repr(twin) == repr(lit)
+    assert hash(twin) == hash(lit)
+    back = replace(lit.complement(), positive=lit.positive)
+    assert back == lit and hash(back) == hash(lit)
+
+
+def _spelled_term(t) -> Optional[tuple[str, str]]:
+    return None if t is None else (type(t).__name__, str(t))
+
+
+def _spelled(lit: Literal, rename=lambda t: t) -> tuple:
+    """The five fields with each term, mapped by `rename`, spelled out, so equality does not lean on interning."""
+    def term(t):
+        return None if t is None else _spelled_term(rename(t))
+
+    return (lit.predicate, tuple(map(term, lit.args)), lit.positive, lit.modality.value, term(lit.owner))
+
+
+def _flipped(spelled: tuple) -> tuple:
+    return (*spelled[:2], not spelled[2], *spelled[3:])
+
+
+# each builder beside the spelling it must give, predicted from the literal it was built from
 BUILDERS = {
-    "constructor": lambda lit, s, tag: Literal(lit.predicate, lit.args, lit.positive, lit.modality, lit.owner),
-    "replace": lambda lit, s, tag: replace(lit.complement(), positive=lit.positive),
-    "atom": lambda lit, s, tag: atom(lit.predicate, *lit.args),
-    "intends": lambda lit, s, tag: intends(lit.owner or "a", lit.atom()),
-    "complement": lambda lit, s, tag: lit.complement(),
-    "apply": lambda lit, s, tag: s.apply(lit),
-    "fresh": lambda lit, s, tag: logic._fresh(lit, logic._Fresh(tag)),
-    "pickle": lambda lit, s, tag: pickle.loads(pickle.dumps(lit)),
+    "constructor": (
+        lambda lit, s, tag: Literal(lit.predicate, lit.args, lit.positive, lit.modality, lit.owner),
+        lambda lit, s, tag: _spelled(lit),
+    ),
+    "replace": (
+        lambda lit, s, tag: replace(lit.complement(), positive=lit.positive),
+        lambda lit, s, tag: _spelled(lit),
+    ),
+    "atom": (
+        lambda lit, s, tag: atom(lit.predicate, *lit.args),
+        lambda lit, s, tag: (*_spelled(lit)[:2], True, "plain", None),
+    ),
+    "intends": (
+        lambda lit, s, tag: intends(lit.owner or "a", lit.atom()),
+        lambda lit, s, tag: (*_spelled(lit)[:2], True, "int", _spelled_term(lit.owner or Constant("a"))),
+    ),
+    "complement": (lambda lit, s, tag: lit.complement(), lambda lit, s, tag: _flipped(_spelled(lit))),
+    "apply": (lambda lit, s, tag: s.apply(lit), lambda lit, s, tag: _spelled(lit, s.resolve)),
+    "fresh": (
+        lambda lit, s, tag: logic._fresh(lit, logic._Fresh(tag)),
+        lambda lit, s, tag: _spelled(lit, lambda t: Variable(f"{t.name}'{tag}") if type(t) is Variable else t),
+    ),
+    "pickle": (lambda lit, s, tag: pickle.loads(pickle.dumps(lit)), lambda lit, s, tag: _spelled(lit)),
 }
+
+
+def _build(how: str, lit: Literal, bindings: dict, tag: int) -> tuple[Literal, Literal, tuple]:
+    """The source literal, the literal `how` builds from it, and the spelling that one must have."""
+    build, predict = BUILDERS[how]
+    s = Substitution(bindings)
+    return lit, build(lit, s, tag), predict(lit, s, tag)
+
+
 BUILT = st.builds(
-    lambda how, lit, bindings, tag: BUILDERS[how](lit, Substitution(bindings), tag),
+    _build,
     st.sampled_from(sorted(BUILDERS)),
     LITERALS,
     st.dictionaries(st.sampled_from(["X", "Y", "Z"]), TERMS),
@@ -947,20 +998,16 @@ BUILT = st.builds(
 )
 
 
-def _spelled(lit: Literal) -> tuple:
-    """The five fields with each term spelled out, so equality does not lean on interning."""
-    def term(t):
-        return None if t is None else (type(t).__name__, str(t))
-
-    return (lit.predicate, tuple(map(term, lit.args)), lit.positive, lit.modality.value, term(lit.owner))
-
-
 @settings(max_examples=300)
 @given(st.text(min_size=1, max_size=4), st.lists(BUILT, min_size=2, max_size=4), st.lists(RULES, max_size=3))
-def test_term_layer_values_are_equal_iff_their_fields_are(symbol, built, rules):
+def test_term_layer_values_are_equal_iff_their_fields_are(symbol, cases, rules):
     assert Constant(symbol) is Constant(symbol) is pickle.loads(pickle.dumps(Constant(symbol)))
-    for lit in built:
+    for source, lit, predicted in cases:
+        assert _spelled(lit) == predicted
         assert (lit.owner is None) == (lit.modality is Modality.NONE)
+        if predicted == _spelled(source):
+            assert lit == source and hash(lit) == hash(source) and repr(lit) == repr(source)
+    built = [lit for _, lit, _ in cases]
     for a, b in itertools.product(built, repeat=2):
         assert (a == b) == (_spelled(a) == _spelled(b))
         assert a != b or (hash(a) == hash(b) and repr(a) == repr(b))
