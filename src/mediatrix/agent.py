@@ -164,7 +164,7 @@ class AgentState:
         A run adds only `give` intentions and negated facts to the unit, so
         the goals never change.
         """
-        return [(l, f) for l, f in self.unit("I").facts() if f.modality is Modality.NONE and is_goal(f)]
+        return [(l, f) for l, f in self.unit("I").facts if f.modality is Modality.NONE and is_goal(f)]
 
     def have_facts(self) -> list[tuple[str, Literal]]:
         """The declared resources as `have` facts, labelled as disclosure labels them."""
@@ -176,7 +176,7 @@ class AgentState:
 
     def delta(self) -> Theory:
         """The agent's reasoning theory: beliefs plus modally wrapped intentions."""
-        intentions = [(f"I:{label}", self.intention(fact)) for label, fact in self.unit("I").facts()]
+        intentions = [(f"I:{label}", self.intention(fact)) for label, fact in self.unit("I").facts]
         return self.unit("B").extended(intentions, self.general)
 
     def with_unit(self, name: str, theory: Theory) -> "AgentState":
@@ -263,8 +263,8 @@ def intends_to_keep(agent: AgentState, resource: str) -> bool:
 def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, list[Message]]:
     """Apply all enabled bridge rules once to a fixpoint within the round."""
     outbox: list[Message] = []
-    for name in UNITS:  # found once per theory, so every extension below checks only its new facts
-        agent.unit(name).clash()
+    for name in UNITS:  # read once per theory, so every extension below checks only its new facts
+        agent.unit(name).clash
 
     if BRIDGE_TRUST in agent.bridges:
         for msg in inbox:
@@ -349,13 +349,13 @@ def _propagate_realism(agent: AgentState) -> AgentState:
         have = agent.unit(target)
         new = [
             (f"r:{source}:{label}", fact)
-            for label, fact in agent.unit(source).facts()
+            for label, fact in agent.unit(source).facts
             if fact.positive == positive and not have.has_fact(fact)
         ]
         if new:
             agent = agent.with_unit(target, have.extended(new))
     for name in UNITS:
-        fact = agent.unit(name).clash()
+        fact = agent.unit(name).clash
         if fact is not None:
             raise RealismViolation(f"unit {name} holds {fact} and its complement")
     return agent
@@ -390,7 +390,7 @@ def disclose(agent: AgentState, round_no: int) -> tuple[AgentState, list[Disclos
     if agent.strategy is Strategy.EAGER:
         for label, item in agent.unit("B").entries():
             offer(label, item)
-        for label, fact in agent.unit("I").facts():
+        for label, fact in agent.unit("I").facts:
             offer(label, agent.intention(fact))
         for name, value in agent.resources:
             offer(f"res:{name}", ResourceDecl(agent.id, name, value))
@@ -421,7 +421,7 @@ def _mentions(item: Entry, symbols: set[str]) -> bool:
 def _relevance_closure(agent: AgentState) -> set[str]:
     """Predicates and constants reachable from the goals through plan rules."""
     closure: set[str] = set()
-    pending = [r for _, r in agent.unit("B").rules() if not r.is_fact]
+    pending = [r for _, r in agent.unit("B").rules if not r.is_fact]
     joined = [goal for _, goal in agent.goals()]
     while joined:  # a rule joins once, when its head first mentions the closure
         for lit in joined:

@@ -138,7 +138,7 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
     for agent in scenario.agents:
         for _, item in agent.unit("B").entries():
             offer(item)
-        for _, fact in agent.unit("I").facts():
+        for _, fact in agent.unit("I").facts:
             offer(agent.intention(fact))
         for _, fact in agent.have_facts():
             offer(fact)

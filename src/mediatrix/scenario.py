@@ -425,7 +425,7 @@ class _Parser:
             theory = Theory(entries, general)
         except ValueError as exc:
             raise ValidationError(str(exc))
-        for label, e in theory.facts():
+        for label, e in theory.facts:
             if not e.is_ground():
                 raise ValidationError(f"mediator case fact {label} must be ground")
         mediator = MediatorState(m.id, theory, self._sorted_resources(m))

@@ -113,17 +113,41 @@ def _write(value, out: list[str], pad: str, opening: str = "{") -> None:
         out.append("\n" + pad + "}")
 
 
-def _read(kind, data):
-    """Rebuild a value of type `kind` from its JSON data, led by the records' type hints."""
+# the JSON name of each type the reader meets
+_JSON = {
+    dict: "object", list: "array", str: "string", int: "integer", float: "number", bool: "boolean", type(None): "null"
+}
+
+
+def _expect(kind: type, data, path: str) -> None:
+    if type(data) is not kind:  # exact, so a boolean is no integer
+        raise ValueError(f"{path}: expected {_JSON[kind]}, got {_JSON.get(type(data), type(data).__name__)}")
+
+
+def _read(kind, data, path: str = "transcript"):
+    """Rebuild a value of type `kind` from its JSON data, led by the records' type hints.
+
+    Data that does not fit raises ValueError naming its path, as in
+    `transcript.rounds[0].number`.
+    """
     if is_dataclass(kind):
-        return kind(**{name: _read(hint, data[name]) for name, hint in get_type_hints(kind).items()})
+        _expect(dict, data, path)
+        hints = get_type_hints(kind)
+        missing = next((name for name in hints if name not in data), None)
+        if missing is not None:
+            raise ValueError(f"{path}.{missing}: missing")
+        return kind(**{name: _read(hint, data[name], f"{path}.{name}") for name, hint in hints.items()})
     args = get_args(kind)
     if get_origin(kind) is tuple:
+        _expect(list, data, path)
         if args[-1] is Ellipsis:  # tuple[X, ...]
             args = (args[0],) * len(data)
-        return tuple(_read(a, item) for a, item in zip(args, data, strict=True))
+        elif len(args) != len(data):
+            raise ValueError(f"{path}: expected {len(args)} items, got {len(data)}")
+        return tuple(_read(a, item, f"{path}[{i}]") for i, (a, item) in enumerate(zip(args, data)))
     if get_origin(kind) is Union:  # Optional[record]
-        return None if data is None else _read(args[0], data)
+        return None if data is None else _read(args[0], data, path)
+    _expect(kind, data, path)
     return data
 
 
@@ -132,8 +156,11 @@ def to_dict(t: Transcript) -> dict:
 
 
 def from_dict(d: dict) -> Transcript:
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported transcript schema: {d.get('schema_version')!r}")
+    """The transcript the data describes; ValueError names what does not fit the schema."""
+    _expect(dict, d, "transcript")
+    version = d.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # exact, since true and 1.0 equal 1
+        raise ValueError(f"unsupported transcript schema: {version!r}")
     return _read(Transcript, d)
 
 

@@ -64,7 +64,7 @@ def _proofs(scenario) -> bytes:
     gamma, _ = full_disclosure(scenario)
     parties = sorted({a.id for a in scenario.agents} | {scenario.mediator.id})
     resources = sorted(
-        {f.args[1].symbol for _, f in gamma.facts() if f.predicate == "have" and f.is_ground()}
+        {f.args[1].symbol for _, f in gamma.facts if f.predicate == "have" and f.is_ground()}
     )
     lines = []
     for giver in parties:

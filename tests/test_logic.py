@@ -48,7 +48,7 @@ from mediatrix.logic import (
     prove,
     select_plan,
 )
-from mediatrix.mediator import _plans_for
+from mediatrix.mediator import IncoherentInput, _plans_for, revise
 
 
 def rule(label, head, *body, naf=()):
@@ -233,7 +233,7 @@ def naive_ground_saturate(theory: Theory) -> set[Literal]:
         for lit in lits:
             consts |= {t.symbol for t in lit.terms() if isinstance(t, Constant)}
     consts = sorted(consts)
-    facts = {f for _, f in theory.facts()}
+    facts = {f for _, f in theory.facts}
 
     def instances(r: Rule):
         vs = sorted(r.head.variables() | {v for b in r.body + r.naf for v in b.variables()})
@@ -255,9 +255,9 @@ def naive_ground_saturate(theory: Theory) -> set[Literal]:
                             changed = True
         return out
 
-    positive = [(l, r) for l, r in theory.rules() if not r.naf]
+    positive = [(l, r) for l, r in theory.rules if not r.naf]
     stratum = saturate(positive, set())
-    return saturate(theory.rules(), stratum)
+    return saturate(theory.rules, stratum)
 
 
 def test_forward_chain_matches_ground_saturation_oracle():
@@ -538,7 +538,7 @@ class TestProvableShapes:
     def test_owned_lists_the_ground_have_facts_in_order(self):
         h1, h2 = atom("have", "a", "r"), atom("have", "b", "s")
         theory = Theory([("h1", h1), ("hx", atom("have", "a", "X")), ("n2", h2.complement()), ("h2", h2)])
-        assert theory.shape_index().owned == [("h1", h1), ("h2", h2)]
+        assert theory.owned == [("h1", h1), ("h2", h2)] and theory.owned is theory.owned
 
     def test_a_label_keeps_its_entry_and_its_general_rule(self):
         theory = Theory([("G.3", atom("have", "a", "r"))], [GeneralRule("G.3", GeneralKind.GENEROSITY, "a")])
@@ -669,7 +669,7 @@ def plan_options_by_unification(theory: Theory, agent: str, goal_atom: Literal) 
     """`plan_options` the general way: rename each rule apart, unify its head, apply to the body."""
     me = Constant(agent)
     out, seen = [], set()
-    for label, r in theory.rules():
+    for label, r in theory.rules:
         key = r.canonical()
         if r.is_fact or key in seen:
             continue
@@ -791,6 +791,10 @@ def test_theory_extended_dedups_up_to_renaming():
     assert len(theory) == 1
 
 
+# every view a theory builds from its entries on first read
+VIEWS = sorted(name for name, value in vars(Theory).items() if isinstance(value, logic._view))
+
+
 class TestExtended:
     """`extended` copies the parent's checked entries and keys; only new items are checked."""
 
@@ -808,13 +812,15 @@ class TestExtended:
 
     def test_parent_is_unchanged_and_nothing_stale_is_carried(self):
         theory = self.theory()
-        index = theory.shape_index()
-        assert prove(theory, atom("q", "c1")) is not None  # fills the parent's fixpoint cache
+        assert prove(theory, atom("q", "c1")) is not None  # builds the parent's positive stratum
+        views = {name: getattr(theory, name) for name in VIEWS}
         labels, size, new = theory.labels(), len(theory), atom("p", "new")
         grown = theory.extended([("new", new), ("f1", atom("s", "c1"))])
         assert (theory.labels(), len(theory), theory.contains(new)) == (labels, size, False)
         assert grown.labels()[-2:] == ["new", "f1~2"]
-        assert grown.shape_index() is not index
+        assert all(getattr(theory, name) is view for name, view in views.items())
+        # only the clash-free verdict is carried; every other view is the grown theory's own
+        assert all(getattr(grown, name) is not view for name, view in views.items() if name != "clash")
         assert prove(grown, new) is not None and prove(grown, atom("q", "new")) is not None
         assert prove(grown, atom("q", "c1")) is None
         assert prove(theory, atom("q", "c1")) is not None
@@ -825,22 +831,22 @@ class TestExtended:
 
     def test_extension_of_a_clash_free_theory_checks_only_new_facts(self, monkeypatch):
         theory = self.theory()
-        assert theory.clash() is None
+        assert theory.clash is None
         complemented = []
         original = Literal.complement
         monkeypatch.setattr(Literal, "complement", lambda lit: complemented.append(lit) or original(lit))
         grown = theory.extended([("new", atom("p", "new")), ("f1", atom("s", "c1"))])
-        assert grown.clash() is None and grown.clash() is None
-        assert grown.filtered(lambda label, item: label != "f1").clash() is None
+        assert grown.clash is None and grown.clash is None
+        assert grown.filtered(lambda label, item: label != "f1").clash is None
         assert complemented == [atom("p", "new"), atom("s", "c1")]
 
     def test_clash_is_the_first_clashing_fact_in_declaration_order(self):
         theory = self.theory()
-        assert theory.clash() is None
+        assert theory.clash is None
         grown = theory.extended([("n1", atom("p", "c7").complement()), ("n2", atom("p", "c3").complement())])
-        assert grown.clash() == atom("p", "c3")
-        assert Theory(grown.entries()).clash() == atom("p", "c3")
-        assert grown.filtered(lambda label, item: label != "f3").clash() == atom("p", "c7")
+        assert grown.clash == atom("p", "c3")
+        assert Theory(grown.entries()).clash == atom("p", "c3")
+        assert grown.filtered(lambda label, item: label != "f3").clash == atom("p", "c7")
 
 
 class TestFiltered:
@@ -930,7 +936,7 @@ def test_rename_matches_replace(r, tag):
 
 @settings(max_examples=200)
 @given(LITERALS)
-def test_equal_literals_hash_equal_and_the_cache_is_invisible(lit):
+def test_a_rebuilt_literal_has_the_equality_hash_and_repr_of_its_source(lit):
     twin = Literal(lit.predicate, lit.args, lit.positive, lit.modality, lit.owner)
     assert twin == lit and repr(twin) == repr(lit)
     assert hash(twin) == hash(lit)
@@ -1217,6 +1223,56 @@ def test_a_goal_of_a_shape_outside_provable_shapes_has_no_proof(case):
         assume(False)
     if shape(goal) not in logic.provable_shapes(theory, keep):
         assert _outcome(kept, goal) in (None, DepthExceeded)
+
+
+def _view_of(theory: Theory, name: str):
+    """The view, with every dict read as its items in order; a saturation that clashes gives its literal."""
+    try:
+        value = getattr(theory, name)
+    except InconsistentTheory as clash:
+        return ("inconsistent", clash.literal)
+    if isinstance(value, logic.ShapeIndex):
+        value = {key: list(v.items()) if isinstance(v, dict) else v for key, v in vars(value).items()}
+    return list(value.items()) if isinstance(value, dict) else value
+
+
+def _derive(data, theory: Theory) -> Theory:
+    """`theory` through one drawn step: `extended`, `filtered`, `restricted` or `mediator.revise`."""
+    labels = theory.labels()
+    dropped = data.draw(st.sets(st.sampled_from(labels), max_size=3)) if labels else set()
+    # new items, and the complements of held facts: an extension that clashes
+    items = data.draw(shape_theories())[0].entries() + [(f"n{l}", f.complement()) for l, f in theory.facts]
+    added = data.draw(st.lists(st.sampled_from(items), min_size=1, max_size=3))
+    step = data.draw(st.sampled_from(["extended", "filtered", "restricted", "revise"]))
+    if step == "extended":
+        return theory.extended(added)
+    if step == "filtered":
+        return theory.filtered(lambda l, e: l not in dropped)
+    if step == "restricted":
+        return theory.restricted(set(labels + [g.label for g in theory.general]) - dropped)
+    try:
+        return revise(theory, added)
+    except IncoherentInput:
+        return theory
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_theories(), st.data())
+def test_every_view_of_a_derived_theory_is_the_view_of_its_entries(case, data):
+    chain = [case[0]]
+    for _ in range(data.draw(st.integers(1, 4))):
+        for name in data.draw(st.sets(st.sampled_from(VIEWS))):  # built before the step, so it may be carried
+            _view_of(chain[-1], name)
+        chain.append(_derive(data, chain[-1]))
+    for theory in chain:
+        fresh = Theory(theory.entries(), theory.general)
+        assert all(_view_of(theory, name) == _view_of(fresh, name) for name in VIEWS)
+        positive = Theory([(l, e) for l, e in theory.entries() if isinstance(e, Literal) or not e.naf], theory.general)
+        try:
+            saturated = list(forward_chain(positive).items())
+        except InconsistentTheory as clash:
+            saturated = ("inconsistent", clash.literal)
+        assert _view_of(theory, "positive_stratum") == saturated
 
 
 def test_literal_owner_checks_keep_their_messages():

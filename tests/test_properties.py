@@ -91,7 +91,7 @@ def test_revise_laws(base_facts, incoming):
     # idempotence up to labelling: a second revision changes nothing
     assert revise(revised, [("N.2", incoming)]) == revised
     # consistency: no stored complementary pair survives
-    for _, fact in revised.facts():
+    for _, fact in revised.facts:
         assert not revised.has_fact(fact.complement())
     # identity: revising with an already-known fact is a no-op
     if gamma.has_fact(incoming):
@@ -166,10 +166,10 @@ def test_realism_invariant_after_bridge_step(seed, told):
     except RealismViolation:
         return
     for unit in ("B", "D", "I"):
-        for _, fact in agent.unit(unit).facts():
+        for _, fact in agent.unit(unit).facts:
             assert not agent.unit(unit).has_fact(fact.complement())
     # positive intentions propagated to desires and beliefs
-    for _, fact in agent.unit("I").facts():
+    for _, fact in agent.unit("I").facts:
         if fact.positive:
             assert agent.unit("D").has_fact(fact)
             assert agent.unit("B").has_fact(fact)

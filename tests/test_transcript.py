@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from mediatrix.mediator import mediate
-from mediatrix.transcript import from_dict, parse_transcript, serialize_transcript
+from mediatrix.transcript import from_dict, parse_transcript, serialize_transcript, to_dict
 
 from conftest import load_scenario
 
@@ -31,7 +32,7 @@ def test_json_writer_never_builds_the_pure_python_encoder(monkeypatch):
     assert parse_transcript(data) == t
 
 
-@pytest.mark.parametrize("version", [None, 2, "1"], ids=["missing", "2", "string"])
+@pytest.mark.parametrize("version", [None, 2, "1", True, 1.0], ids=["missing", "2", "string", "boolean", "float"])
 def test_reader_rejects_other_schema_versions(version):
     d = json.loads(serialize_transcript(home_improvement_transcript(), "json"))
     if version is None:
@@ -45,3 +46,31 @@ def test_reader_rejects_other_schema_versions(version):
 def test_unknown_format_is_rejected():
     with pytest.raises(ValueError, match="unknown transcript format 'xml'"):
         serialize_transcript(home_improvement_transcript(), "xml")
+
+
+# each kind of malformed data, made from a good transcript's, and the message that names where it is
+MALFORMED = {
+    "not_an_object": (lambda d: [], "transcript: expected object, got array"),
+    "missing_field": (
+        lambda d: {**d, "rounds": [{k: v for k, v in d["rounds"][0].items() if k != "number"}]},
+        "transcript.rounds[0].number: missing",
+    ),
+    "wrong_container": (lambda d: {**d, "rounds": 5}, "transcript.rounds: expected array, got integer"),
+    "wrong_scalar": (lambda d: {**d, "outcome": 5}, "transcript.outcome: expected string, got integer"),
+    "wrong_length": (
+        lambda d: {**d, "final_ownership": [["a"]]},
+        "transcript.final_ownership[0]: expected 2 items, got 1",
+    ),
+    "string_for_a_list": (
+        lambda d: {**d, "final_ownership": [["a", "nail"]]},
+        "transcript.final_ownership[0][1]: expected array, got string",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_transcript_raises_value_error_naming_the_field(kind):
+    malform, message = MALFORMED[kind]
+    data = json.dumps(malform(to_dict(home_improvement_transcript()))).encode()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_transcript(data)
