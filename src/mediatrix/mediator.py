@@ -125,7 +125,9 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
         if last.get(b, -1) > i:
             raise IncoherentInput(f"incoming knowledge asserts both {a} and {b}")
         complements.add(b)
-    return gamma.filtered(lambda l, e: not (isinstance(e, Literal) and e in complements)).extended(incoming)
+    if any(map(gamma.has_fact, complements)):  # else nothing stored is dropped, so nothing is copied
+        gamma = gamma.filtered(lambda l, e: not (isinstance(e, Literal) and e in complements))
+    return gamma.extended(incoming)
 
 
 # ----------------------------------------------------------------------

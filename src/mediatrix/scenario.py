@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import Iterator, Optional, Union
 
 from .agent import ALL_BRIDGES, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE, AgentState, Strategy
-from .lang import Constant, Literal, Modality, Term, Variable
+from .lang import Constant, Literal, Modality, Term, Variable, _new
 from .logic import Entry, GeneralKind, GeneralRule, Rule, Theory
 from .mediator import MediationConfig, MediatorState
 
@@ -109,17 +109,19 @@ def _scan(text: str, pos: int = 0) -> Iterator[_Tok]:
 # literals, built from the tokenizer's fragments. Each identifier ends where the
 # tokenizer's longest match would end it (`_END`), a body literal is not `not(…)`,
 # the final `.` starts no number; no comment is matched within, but the blanks and
-# comments after it are, so a match ends where the next statement starts.
+# comments after it are, so a match ends where the next statement starts. Its groups
+# are the label, tag, owner, head predicate and argument text, and a rule's `:- body`.
 _END = r"(?![A-Za-z0-9_]|\.[A-Za-z0-9_])"
 _ID = _IDENT + _END
 _S = _BLANK + "*"
-_LIT = rf"(?![A-Z]){_ID}{_S}(?:\({_S}{_ID}{_S}(?:,{_S}{_ID}{_S})*\){_S})?"
-_BODY_LIT = rf"(?!not{_S}\(){_LIT}"
+_ARGS = rf"{_S}{_ID}{_S}(?:,{_S}{_ID}{_S})*"
+_BODY_LIT = rf"(?!not{_S}\()(?![A-Z]){_ID}{_S}(?:\({_ARGS}\){_S})?"
 _FORMULA_RE = re.compile(
     rf"\[{_S}(?P<label>{_ID}){_S}\]{_S}(?P<tag>bel|des|int){_END}{_S}(?P<owner>{_ID}){_S}:{_S}"
-    rf"(?P<formula>{_LIT}(?P<arrow>:-{_S}{_BODY_LIT}(?:,{_S}{_BODY_LIT})*)?)\.(?!\d){_SKIP}"
+    rf"(?![A-Z])(?P<pred>{_ID}){_S}(?:\((?P<args>{_ARGS})\){_S})?"
+    rf"(?P<arrow>:-{_S}{_BODY_LIT}(?:,{_S}{_BODY_LIT})*)?\.(?!\d){_SKIP}"
 )
-_LITERAL_RE = re.compile(rf"({_IDENT}){_S}(?:\(([^)]*)\))?")  # within a matched formula
+_LITERAL_RE = re.compile(rf"({_IDENT}){_S}(?:\(([^)]*)\))?")  # within a matched rule body
 
 
 # ----------------------------------------------------------------------
@@ -299,18 +301,21 @@ class _Parser:
     def matched_formula(self) -> bool:
         """Take a run of labelled formulas of plain literals, one `_FORMULA_RE` match each.
 
-        The run ends at the first statement not matched or not valid; it and any error
-        are left, unread and unrecorded, to the token grammar. False when the run is empty."""
+        A fact is built from the groups alone; only a rule's body is scanned again, and only a rule
+        goes through `add_formula`. The run ends at the first statement not matched or not valid; it
+        and any error are left, unread and unrecorded, to the token grammar. False when it is empty."""
         text, at = self.text, self.tok[2]
+        owners: dict[str, _Participant] = {}
         while m := _FORMULA_RE.match(text, at):
-            literals = [
-                Literal(pred, tuple(map(self.term, "".join(args.split()).split(","))) if args else ())
-                for pred, args in _LITERAL_RE.findall(text, m.start("formula"), m.end("formula"))
-            ]
+            label, tag, owner, pred, args, arrow = m.groups()
+            head = self.plain(pred, args)
             try:
-                p = self.owner(self.term(m["owner"]))
-                rule = (tuple(literals[1:]), ()) if m["arrow"] else None
-                self.add_formula(p, UNIT_OF_KEYWORD[m["tag"]], m["label"], literals[0], rule)
+                p = owners.get(owner) or owners.setdefault(owner, self.owner(self.term(owner)))
+                if arrow:
+                    body = _LITERAL_RE.findall(text, m.start("arrow") + 2, m.end("arrow"))
+                    self.add_formula(p, UNIT_OF_KEYWORD[tag], label, head, (tuple(self.plain(*b) for b in body), ()))
+                else:
+                    p.units[UNIT_OF_KEYWORD[tag]].append((label, head))
             except ValidationError:
                 break
             at = m.end()
@@ -319,6 +324,11 @@ class _Parser:
         self.tokens = _scan(text, at)
         self.tok = next(self.tokens)
         return True
+
+    def plain(self, predicate: str, args: Optional[str]) -> Literal:
+        """The plain positive literal of a predicate and its matched argument text."""
+        terms = tuple(map(self.term, "".join(args.split()).split(","))) if args else ()
+        return _new(Literal, (predicate, terms, True, Modality.NONE, None))
 
     def owner(self, owner: Optional[Term]) -> _Participant:
         if not isinstance(owner, Constant) or owner.symbol not in self.participants:

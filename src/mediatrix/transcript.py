@@ -127,8 +127,8 @@ def _expect(kind: type, data, path: str) -> None:
 def _read(kind, data, path: str = "transcript"):
     """Rebuild a value of type `kind` from its JSON data, led by the records' type hints.
 
-    Data that does not fit raises ValueError naming its path, as in
-    `transcript.rounds[0].number`.
+    Data that does not fit, a field missing or unknown among them, raises ValueError
+    naming its path, as in `transcript.rounds[0].number`.
     """
     if is_dataclass(kind):
         _expect(dict, data, path)
@@ -136,6 +136,9 @@ def _read(kind, data, path: str = "transcript"):
         missing = next((name for name in hints if name not in data), None)
         if missing is not None:
             raise ValueError(f"{path}.{missing}: missing")
+        unknown = next((name for name in data if name not in hints), None)
+        if unknown is not None:
+            raise ValueError(f"{path}.{unknown}: unknown field")
         return kind(**{name: _read(hint, data[name], f"{path}.{name}") for name, hint in hints.items()})
     args = get_args(kind)
     if get_origin(kind) is tuple:
@@ -161,7 +164,7 @@ def from_dict(d: dict) -> Transcript:
     version = d.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # exact, since true and 1.0 equal 1
         raise ValueError(f"unsupported transcript schema: {version!r}")
-    return _read(Transcript, d)
+    return _read(Transcript, {k: v for k, v in d.items() if k != "schema_version"})
 
 
 def _text(t: Transcript) -> str:

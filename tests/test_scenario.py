@@ -361,6 +361,10 @@ FAMILY_LINES = [
     "[a.10] bel a: a_f0(X, Z) :- likes(X, Y), stored_in(Y, Z).",
     "[b.2] bel b: have(m, r310).",
     "[M.1] bel m: can(X, goal_b) :- have(X, r205).",
+    "[a.11] bel a: rainy.",
+    "[a.12] des a: near(a_c445, a_c177).",
+    "[a.13] bel a: can(X, goal_a) :- rainy, have(X, r310).",
+    "[a.14] bel a: have( a ,\n r310 ).",
     "resource a r310 = 0.5;",
     "# a comment between formulas",
     "",
@@ -410,6 +414,8 @@ class TestWholeStatementMatch:
             "[x.1] bel a: p(c).\n[x.2] bel a: q(c).\n[x.3] bel zeus: p(c).\n[x.4] bel a: r(c).",
             "[x.1] bel a: p(c).\n[x.2] bel a: p(X) :- q(c).\n[x.3] bel a: r(c).",
             "[x.1] bel a: p(c).\n# caf\u00e9 @ $ \\ \x00\n[x.2] bel a: q(c).",  # no token starts with these
+            "[x.1] bel a: rainy.\n[x.2] bel a: p(X) :- rainy, q(X).",  # nullary head and body literals
+            "[x.1] des a: p( c ,\n d ).\n[x.2] int a: q( X ) :- r(\tX ).",  # blanks inside argument lists
         ],
     )
     def test_edge_cases_agree_with_the_token_grammar(self, tail):
@@ -430,3 +436,32 @@ class TestWholeStatementMatch:
         assert len(s.agents[0].unit("B").entries()) == 2_500
         # one run of formulas restarts the scanner once; the token grammar reads about 13 per formula
         assert counting.reads <= 20
+
+    def test_a_fact_is_read_from_its_match_alone(self, monkeypatch):
+        scans, added = [], []
+        literal_re, add_formula = scenario_module._LITERAL_RE, scenario_module._Parser.add_formula
+
+        class CountingLiterals:
+            def findall(self, text, start, end):
+                scans.append(text[start:end])
+                return literal_re.findall(text, start, end)
+
+        def counting_add_formula(parser, p, unit, label, head, rule):
+            added.append(label)
+            add_formula(parser, p, unit, label, head, rule)
+
+        monkeypatch.setattr(scenario_module, "_LITERAL_RE", CountingLiterals())
+        monkeypatch.setattr(scenario_module._Parser, "add_formula", counting_add_formula)
+        facts = [f"[a.{n}] bel a: near(a_c{n}, a_c{n + 1})." for n in range(2, 2_502)]
+        s = parse_scenario(MINIMAL + "\n".join(facts) + "\n")
+        assert len(s.agents[0].unit("B").entries()) == 2_500
+        assert (scans, added) == ([], [])
+        # in a mixed run each rule's body, and only its body, is scanned once
+        rules = range(4, 2_502, 4)
+        formulas = [
+            f"[a.{n}] bel a: can(X, g) :- have(X, r{n})." if n in rules else facts[n - 2] for n in range(2, 2_502)
+        ]
+        s = parse_scenario(MINIMAL + "\n".join(formulas) + "\n")
+        assert len(s.agents[0].unit("B").entries()) == 2_500
+        assert scans == [f" have(X, r{n})" for n in rules]
+        assert added == [f"a.{n}" for n in rules]

@@ -65,6 +65,11 @@ MALFORMED = {
         lambda d: {**d, "final_ownership": [["a", "nail"]]},
         "transcript.final_ownership[0][1]: expected array, got string",
     ),
+    "unknown_field": (lambda d: {**d, "bogus": 1}, "transcript.bogus: unknown field"),
+    "unknown_nested_field": (
+        lambda d: {**d, "rounds": [{**d["rounds"][0], "bogus": 1}]},
+        "transcript.rounds[0].bogus: unknown field",
+    ),
 }
 
 
