@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .lang import Constant, Literal, Modality, intends
 from .logic import (
@@ -63,8 +63,7 @@ class MessageKind(Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class GiveAction:
+class GiveAction(NamedTuple):
     giver: str
     receiver: str
     resource: str
@@ -79,8 +78,7 @@ class GiveAction:
         return f"give({self.giver}, {self.receiver}, {self.resource})"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     kind: MessageKind
     sender: str
     receiver: str
@@ -99,8 +97,7 @@ class Plan:
     selected: bool = False
 
 
-@dataclass(frozen=True)
-class DisclosureItem:
+class DisclosureItem(NamedTuple):
     label: str
     payload: Union[Literal, Rule, "ResourceDecl"]
 
@@ -180,11 +177,17 @@ class AgentState:
         return self.unit("B").extended(intentions, self.general)
 
     def with_unit(self, name: str, theory: Theory) -> "AgentState":
-        return replace(self, units={**self.units, name: theory})
+        return self._with(units={**self.units, name: theory})
 
     def _next_label(self, prefix: str) -> tuple["AgentState", str]:
         n = self.fresh + 1
-        return replace(self, fresh=n), f"{prefix}{self.id}.{n}"
+        return self._with(fresh=n), f"{prefix}{self.id}.{n}"
+
+    def _with(self, **changes) -> "AgentState":
+        """A copy with the given fields changed; `resources` changes through `replace`, which ranks them."""
+        new = object.__new__(AgentState)
+        new.__dict__.update(self.__dict__, **changes)
+        return new
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +299,7 @@ def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, li
                 continue
             if action in agent.asked or action.resource in agent.owned():
                 continue
-            agent = replace(agent, asked=agent.asked | {action})
+            agent = agent._with(asked=agent.asked | {action})
             outbox.append(Message(MessageKind.ASK, agent.id, action.giver, action))
 
     agent = _propagate_realism(agent)
@@ -385,7 +388,7 @@ def disclose(agent: AgentState, round_no: int) -> tuple[AgentState, list[Disclos
     if round_no <= 1:
         for label, fact in agent.goals():
             offer(label, agent.intention(fact))
-        return replace(agent, disclosed=frozenset(disclosed)), package
+        return agent._with(disclosed=frozenset(disclosed)), package
 
     if agent.strategy is Strategy.EAGER:
         for label, item in agent.unit("B").entries():
@@ -397,14 +400,14 @@ def disclose(agent: AgentState, round_no: int) -> tuple[AgentState, list[Disclos
     else:
         relevant = _relevance_closure(agent)
         for label, item in agent.unit("B").entries():
-            if _mentions(item, relevant):
+            if label not in disclosed and _mentions(item, relevant):
                 offer(label, item)
         for name, value in agent.resources:
             key = f"res:{name}"
             if key not in disclosed:
                 offer(key, ResourceDecl(agent.id, name, value))
                 break
-    return replace(agent, disclosed=frozenset(disclosed)), package
+    return agent._with(disclosed=frozenset(disclosed)), package
 
 
 def _mentions(item: Entry, symbols: set[str]) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .lang import Literal, shape
 from .logic import (
@@ -26,8 +26,7 @@ from .logic import (
 )
 
 
-@dataclass(frozen=True)
-class SupportItem:
+class SupportItem(NamedTuple):
     label: str
     item: Entry  # fact literal or rule; general principles appear label-only
 

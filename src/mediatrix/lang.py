@@ -120,11 +120,12 @@ class Literal(namedtuple("_LiteralFields", "predicate args positive modality own
         return {t.name for t in self.terms() if is_var(t)}
 
     def __str__(self) -> str:
-        sign = "" if self.positive else "~"
-        inner = f"{self.predicate}({', '.join(map(str, self.args))})" if self.args else self.predicate
-        if self.modality is Modality.NONE:
-            return sign + inner
-        return f"{sign}{self.modality.value} {self.owner}: {inner}"
+        text, args, positive, modality, owner = self  # each term's text read directly, not through `str`
+        if args:
+            text = f"{text}({', '.join([t.symbol if type(t) is Constant else t.name for t in args])})"
+        if modality is not Modality.NONE:
+            text = f"{modality._value_} {owner.symbol if type(owner) is Constant else owner.name}: {text}"
+        return text if positive else "~" + text
 
 
 def atom(predicate: str, *args: Union[Term, str]) -> Literal:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .lang import (
     Constant,
@@ -243,16 +243,13 @@ class Theory:
         self._keys: set = set()
         self.general: tuple[GeneralRule, ...] = tuple(general)
         for label, item in entries:
-            self._add(label, item)
-
-    def _add(self, label: str, item: Entry) -> None:
-        if label in self._by_label:
-            raise ValueError(f"duplicate label {label!r}")
-        if isinstance(item, Rule) and not item.range_restricted():
-            raise ValueError(f"rule {label} is not range-restricted")
-        self._entries.append((label, item))
-        self._by_label[label] = item
-        self._keys.add(entry_canonical(item))
+            if label in self._by_label:
+                raise ValueError(f"duplicate label {label!r}")
+            if isinstance(item, Rule) and not item.range_restricted():
+                raise ValueError(f"rule {label} is not range-restricted")
+            self._entries.append((label, item))
+            self._by_label[label] = item
+            self._keys.add(entry_canonical(item))
 
     # -- views ---------------------------------------------------------
 
@@ -347,21 +344,29 @@ class Theory:
     def extended(self, items: Iterable[tuple[str, Entry]], general=None) -> "Theory":
         """New theory with the items appended; duplicates (up to renaming) skipped.
 
-        Only the new items are checked and keyed, and a clash-free parent stays
-        so unless a new fact meets its complement.
+        Only the new items are checked and keyed, each once, and a clash-free
+        parent stays so unless a new fact meets its complement.
         """
         t = Theory((), self.general if general is None else general)
         t._entries, t._by_label, t._keys = list(self._entries), dict(self._by_label), set(self._keys)
+        entries, by_label, keys = t._entries, t._by_label, t._keys
+        new = []
         for label, item in items:
-            if t.contains(item):
+            key = entry_canonical(item)
+            if key in keys:
                 continue
             lab, n = label, 1
-            while lab in t._by_label:
+            while lab in by_label:
                 n += 1
                 lab = f"{label}~{n}"
-            t._add(lab, item)
-        new = (e for _, e in t._entries[len(self._entries):] if isinstance(e, Literal))
-        if self._clash_free() and not any(f.complement() in t._keys for f in new):
+            if key is item:  # a fact is its own key
+                new.append(item)
+            elif not item.range_restricted():
+                raise ValueError(f"rule {lab} is not range-restricted")
+            entries.append((lab, item))
+            by_label[lab] = item
+            keys.add(key)
+        if self._clash_free() and not any(f.complement() in keys for f in new):
             t.clash = None
         return t
 
@@ -394,8 +399,7 @@ class Theory:
         return f"Theory({len(self._entries)} entries, {len(self.general)} general)"
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(NamedTuple):
     conclusion: Literal
     premises: frozenset[str]
 
@@ -710,8 +714,7 @@ def believed_ownership(theory: Theory) -> dict[str, str]:
     return owners
 
 
-@dataclass(frozen=True)
-class PlanOption:
+class PlanOption(NamedTuple):
     """A rule instance concluding a goal, read against one agent's ownership."""
 
     label: str

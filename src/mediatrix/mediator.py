@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import transcript as tr
 from .agent import (
@@ -68,8 +68,7 @@ class MediatorState:
     resources: tuple[tuple[str, Fraction], ...] = ()
 
 
-@dataclass(frozen=True)
-class MediatorPlan:
+class MediatorPlan(NamedTuple):
     agent: str
     rule_label: str
     needed: tuple[str, ...]  # resources the agent must hold for the plan
@@ -271,7 +270,7 @@ class Mediation:
         labelled, seen = [], set()
         for item in items:
             key = entry_canonical(item)
-            if key in seen or self.gamma.contains(item) and item not in self._case_goals:
+            if key in seen or key in self.gamma._keys and item not in self._case_goals:
                 continue
             seen.add(key)
             self._label_no += 1

@@ -9,7 +9,7 @@ create_solution certifies soundness and completeness on small scenarios.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agent import GiveAction
 from .lang import Literal
@@ -18,8 +18,7 @@ from .mediator import _blocked_transfers, _plans_for, create_solution
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     plans: tuple[tuple[str, str], ...]  # (agent, rule label), agent order
     transfers: frozenset[GiveAction]
 

@@ -78,6 +78,14 @@ class Transcript:
     final_ownership: tuple[tuple[str, tuple[str, ...]], ...]  # (agent, sorted resources)
 
 
+# each record class's field names beside their JSON keys, read once rather than through `fields()` per record
+_KEYS = {
+    cls: tuple((f.name, encode_basestring_ascii(f.name)) for f in fields(cls))
+    for cls in (MessageRecord, ArgumentRecord, SolutionRecord, DecisionRecord, ProposalRecord, NegotiationRecord,
+                Round, Transcript)
+}
+
+
 def _write(value, out: list[str], pad: str, opening: str = "{") -> None:
     """Append `value` to `out` as `json.dumps` writes it with `indent=2` at indent `pad`.
 
@@ -106,9 +114,9 @@ def _write(value, out: list[str], pad: str, opening: str = "{") -> None:
     else:
         inner = pad + "  "
         sep = opening + "\n" + inner
-        for f in fields(value):
-            out.append(f"{sep}{encode_basestring_ascii(f.name)}: ")
-            _write(getattr(value, f.name), out, inner)
+        for name, key in _KEYS[type(value)]:
+            out.append(f"{sep}{key}: ")
+            _write(getattr(value, name), out, inner)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
 

@@ -89,6 +89,12 @@ class TestAgentState:
         beta = make_beta()
         assert len(sorts) == 1
         assert replace(beta, fresh=3).resources == beta.resources and len(sorts) == 1
+        stepped, label = beta._next_label("T:")
+        stepped = stepped.with_unit("D", Theory([("d", atom("calm", "beta"))]))
+        assert (label, stepped.fresh, stepped.resources) == ("T:beta.1", 1, beta.resources)
+        assert stepped.unit("B") is beta.unit("B") and stepped.unit("D").labels() == ["d"]
+        assert beta.unit("D").labels() == [] and beta.fresh == 0
+        assert len(sorts) == 1
         received = agent_module._apply_transfer(beta, GiveAction("alpha", "beta", "hammer"))
         assert [r[0] for r in received.resources] == ["hammer", "mirror", "nail"] and len(sorts) == 2
         with pytest.raises(ValueError, match=r"resource value out of \[0, 1\]: mirror=2"):
@@ -298,6 +304,26 @@ class TestDisclose:
         agent, package = disclose(agent, 2)
         assert "B.9" not in {d.label for d in package}
         assert {"B.2", "B.3", "B.4"} <= {d.label for d in package}
+
+    def test_cautious_reads_the_relevance_of_undisclosed_beliefs_only(self, monkeypatch):
+        agent = make_beta(
+            strategy=Strategy.CAUTIOUS,
+            resources=(("mirror", Fraction(1)), ("nail", Fraction(1)), ("string", Fraction(0))),
+        )
+        agent, _ = disclose(agent, 1)
+        agent, _ = disclose(agent, 2)
+        grown = agent.unit("B").extended([("B.9", atom("weather", "sunny")), ("B.10", atom("have", "beta", "hammer"))])
+        agent = agent.with_unit("B", grown)
+        sent = {id(item) for label, item in grown.entries() if label in agent.disclosed}
+        seen = []
+        original = agent_module._mentions
+        monkeypatch.setattr(agent_module, "_mentions", lambda item, symbols: seen.append(item) or original(item, symbols))
+        agent, package = disclose(agent, 3)
+        assert [(d.label, str(d.payload)) for d in package] == [
+            ("B.10", "have(beta, hammer)"),
+            ("res:mirror", "resource beta mirror = 1"),
+        ]
+        assert atom("weather", "sunny") in seen and not any(id(item) in sent for item in seen)
 
 
 class TestExecuteGive:

@@ -95,8 +95,14 @@ def _is_dataclass(decorator: ast.expr) -> bool:
     return isinstance(target, ast.Name) and target.id == "dataclass"
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a `NamedTuple` class: each annotated name in its body is a field."""
+    named = any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases)
+    return named or any(_is_dataclass(d) for d in cls.decorator_list)
+
+
 def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """Dataclass fields in `modules` (name -> source) whose name no reader reads as an attribute."""
+    """Dataclass and `NamedTuple` fields in `modules` (name -> source) whose name no reader reads as an attribute."""
     read = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -105,7 +111,7 @@ def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
     unread = []
     for module, source in sorted(modules.items()):
         for cls in ast.walk(ast.parse(source)):
-            if isinstance(cls, ast.ClassDef) and any(_is_dataclass(d) for d in cls.decorator_list):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
                 for stmt in cls.body:
                     if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read:
                         unread.append(f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})")
@@ -113,8 +119,12 @@ def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
 
 
 def test_scan_finds_an_unread_field():
-    source = "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int\n\nclass Q:\n    c: int\n"
-    assert unread_fields({"m": source}, [source, "P(1, 2).a = 3\nprint(P(1, 2).b)"]) == ["m.P.a (line 3)"]
+    source = (
+        "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int\n\nclass Q:\n    c: int\n\n"
+        "class R(NamedTuple):\n    d: int\n    e: int\n"
+    )
+    readers = [source, "P(1, 2).a = 3\nprint(P(1, 2).b, R(1, 2).e)"]
+    assert unread_fields({"m": source}, readers) == ["m.P.a (line 3)", "m.R.d (line 10)"]
 
 
 def test_every_dataclass_field_is_read():

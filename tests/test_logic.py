@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +29,8 @@ from mediatrix.lang import (
     shape,
     unify,
 )
-from mediatrix.agent import AgentState, GiveAction, plan
+from mediatrix.agent import AgentState, DisclosureItem, GiveAction, Message, MessageKind, ResourceDecl, plan
+from mediatrix.argumentation import SupportItem
 from mediatrix.logic import (
     GIVE_INTENDED,
     HAVE,
@@ -37,6 +39,7 @@ from mediatrix.logic import (
     GeneralRule,
     InconsistentTheory,
     PlanOption,
+    Proof,
     Rule,
     Theory,
     believed_ownership,
@@ -48,7 +51,8 @@ from mediatrix.logic import (
     prove,
     select_plan,
 )
-from mediatrix.mediator import IncoherentInput, _plans_for, revise
+from mediatrix.mediator import IncoherentInput, MediatorPlan, _plans_for, revise
+from mediatrix.oracle import Candidate
 
 
 def rule(label, head, *body, naf=()):
@@ -802,13 +806,13 @@ class TestExtended:
         guarded = rule("r", atom("q", "X"), atom("p", "X"), naf=(atom("s", "X"),))
         return Theory([(f"f{i}", atom("p", f"c{i}")) for i in range(99)] + [("r", guarded)])
 
-    def test_keys_only_the_new_items(self, monkeypatch):
+    def test_keys_only_the_new_items_each_once(self, monkeypatch):
         theory = self.theory()
         keyed = []
         original = logic.entry_canonical
         monkeypatch.setattr(logic, "entry_canonical", lambda item: keyed.append(item) or original(item))
         theory.extended([("new", atom("p", "new"))])
-        assert len(keyed) <= 2
+        assert keyed == [atom("p", "new")]
 
     def test_parent_is_unchanged_and_nothing_stale_is_carried(self):
         theory = self.theory()
@@ -826,8 +830,21 @@ class TestExtended:
         assert prove(theory, atom("q", "c1")) is not None
 
     def test_new_items_are_still_checked(self):
-        with pytest.raises(ValueError):
-            self.theory().extended([("bad", rule("bad", atom("p", "X", "Y"), atom("p", "X")))])
+        bad = rule("bad", atom("p", "X", "Y"), atom("p", "X"))
+        with pytest.raises(ValueError, match=r"^rule bad is not range-restricted$"):
+            self.theory().extended([("bad", bad)])
+        with pytest.raises(ValueError, match=r"^rule r~2 is not range-restricted$"):  # the label it would get
+            self.theory().extended([("f1", atom("p", "new")), ("r", bad)])
+
+    def test_an_entry_equal_up_to_renaming_is_skipped(self):
+        theory = self.theory()
+        twin = rule("r9", atom("q", "Y"), atom("p", "Y"), naf=(atom("s", "Y"),))
+        new = rule("w", atom("w", "Z"), atom("p", "Z"))
+        grown = theory.extended(
+            [("r9", twin), ("w1", new), ("w2", rule("w", atom("w", "V"), atom("p", "V"))), ("f", atom("p", "c0"))]
+        )
+        assert grown.labels() == theory.labels() + ["w1"]
+        assert grown.contains(twin) and grown.lookup("w1") is new
 
     def test_extension_of_a_clash_free_theory_checks_only_new_facts(self, monkeypatch):
         theory = self.theory()
@@ -1024,6 +1041,102 @@ def test_term_layer_values_are_equal_iff_their_fields_are(symbol, cases, rules):
     assert len(rule_keys) == len({r.canonical() for _, r in kept})
     assert not any(lit == key for _, lit in facts for key in rule_keys)
     assert all(theory.has_fact(lit) for _, lit in facts)
+
+
+MODALITY_WORDS = {Modality.BEL: "bel", Modality.DES: "des", Modality.INT: "int"}
+
+
+def _rendered_term(t) -> str:
+    return t.symbol if isinstance(t, Constant) else t.name
+
+
+def _rendered(lit: Literal) -> str:
+    """A literal as the scenario syntax writes it, spelled out term by term."""
+    text = lit.predicate
+    if lit.args:
+        text += "(" + ", ".join(_rendered_term(t) for t in lit.args) + ")"
+    if lit.modality is not Modality.NONE:
+        text = MODALITY_WORDS[lit.modality] + " " + _rendered_term(lit.owner) + ": " + text
+    return text if lit.positive else "~" + text
+
+
+@settings(max_examples=300)
+@given(RULES)
+def test_literals_and_rules_render_as_spelled_out(r):
+    for lit in (r.head, *r.body, *r.naf):
+        assert str(lit) == _rendered(lit)
+    conditions = [_rendered(b) for b in r.body] + ["not(" + _rendered(n) + ")" for n in r.naf]
+    assert str(r) == _rendered(r.head) + (" :- " + ", ".join(conditions) if conditions else "") + "."
+
+
+def test_rendering_covers_every_modality_polarity_and_term_kind():
+    assert [str(lit) for lit in (
+        Literal("rainy"),
+        Literal("rainy", (), False),
+        Literal("p", (Constant("a"), Variable("X"))),
+        Literal("p", (Variable("X"),), False, Modality.BEL, Constant("a")),
+        Literal("give", (Constant("b"), Constant("a"), Constant("r")), True, Modality.INT, Variable("A")),
+        Literal("q", (), True, Modality.DES, Constant("a")),
+    )] == ["rainy", "~rainy", "p(a, X)", "~bel a: p(X)", "int A: give(b, a, r)", "des a: q"]
+
+
+# one value of each record type built per disclosed item, plan option or transfer, with the
+# `repr` and `str` it had as a frozen dataclass
+RECORDS = [
+    (GiveAction("a", "b", "r"), "GiveAction(giver='a', receiver='b', resource='r')", "give(a, b, r)"),
+    (
+        Message(MessageKind.ASK, "a", "b", GiveAction("b", "a", "r")),
+        "Message(kind=<MessageKind.ASK: 'ask'>, sender='a', receiver='b', "
+        "payload=GiveAction(giver='b', receiver='a', resource='r'))",
+        "ask(a -> b: give(b, a, r))",
+    ),
+    (
+        DisclosureItem("res:r", ResourceDecl("a", "r", Fraction(1, 2))),
+        "DisclosureItem(label='res:r', payload=ResourceDecl(agent='a', name='r', value=Fraction(1, 2)))",
+        None,
+    ),
+    (
+        SupportItem("M.1", atom("have", "b", "r")),
+        "SupportItem(label='M.1', item=Literal(predicate='have', args=(Constant(symbol='b'), "
+        "Constant(symbol='r')), positive=True, modality=<Modality.NONE: 'plain'>, owner=None))",
+        "M.1",
+    ),
+    (
+        Proof(intends("a", atom("give", "b", "a", "r")), frozenset({"M.1"})),
+        "Proof(conclusion=Literal(predicate='give', args=(Constant(symbol='b'), Constant(symbol='a'), "
+        "Constant(symbol='r')), positive=True, modality=<Modality.INT: 'int'>, owner=Constant(symbol='a')), "
+        "premises=frozenset({'M.1'}))",
+        None,
+    ),
+    (
+        PlanOption("a.2", ("r",), (atom("tool", "X"),), True),
+        "PlanOption(label='a.2', needed=('r',), missing=(Literal(predicate='tool', args=(Variable(name='X'),), "
+        "positive=True, modality=<Modality.NONE: 'plain'>, owner=None),), open_resource=True)",
+        None,
+    ),
+    (
+        MediatorPlan("a", "a.2", ("r", "s"), ("s",)),
+        "MediatorPlan(agent='a', rule_label='a.2', needed=('r', 's'), unmet=('s',))",
+        None,
+    ),
+    (
+        Candidate((("a", "a.2"), ("b", "b.2")), frozenset({GiveAction("b", "a", "r")})),
+        "Candidate(plans=(('a', 'a.2'), ('b', 'b.2')), "
+        "transfers=frozenset({GiveAction(giver='b', receiver='a', resource='r')}))",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("value, spelled, text", RECORDS, ids=[type(v).__name__ for v, _, _ in RECORDS])
+def test_a_record_keeps_its_repr_str_equality_hash_and_pickle(value, spelled, text):
+    assert repr(value) == spelled and str(value) == (spelled if text is None else text)
+    values = [getattr(value, name) for name in value._fields]
+    twin = type(value)(**dict(zip(value._fields, values)))
+    assert twin == value and hash(twin) == hash(value) == hash(tuple(values))  # a dataclass's hash
+    assert all(value != type(value)(*values[:i], "other", *values[i + 1:]) for i in range(len(values)))
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value and repr(back) == spelled
 
 
 @settings(max_examples=300)

@@ -7,13 +7,14 @@ import re
 from dataclasses import fields, is_dataclass, replace
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediatrix import mediator, parse_scenario
 from mediatrix.agent import Message, MessageKind, RealismViolation, bridge_step
 from mediatrix.argumentation import AttackKind, Verdict, construct_argument, evaluate
-from mediatrix.lang import apply, atom, intends, unify
+from mediatrix.lang import Literal, apply, atom, intends, unify
 from mediatrix.logic import (
     HAVE,
     DepthExceeded,
@@ -354,6 +355,32 @@ resource b r = 1;
 def test_an_undercut_rejection_in_a_mediation_is_an_attack_find_attacks_finds():
     rejections = assert_every_rejection_is_an_attack_find_attacks_finds(parse_scenario(UNDERCUT_SCENARIO))
     assert [(c.kind, str(c.point)) for c in rejections] == [(AttackKind.UNDERCUT, "int a: can(a, go)")]
+
+
+def unmet_goals(scenario, final_ownership) -> list[str]:
+    """The agents with a goal that the scenario's beliefs do not prove in the final world.
+
+    The beliefs are every participant's, without their ownership facts; the
+    world is one `have` fact per resource held at the end.
+    """
+    world = [(f"held:{a}:{r}", atom("have", a, r)) for a, held in final_ownership for r in held]
+    beliefs = [scenario.mediator.theory] + [agent.unit("B") for agent in scenario.agents]
+    entries = [
+        (f"{i}:{label}", item)
+        for i, theory in enumerate(beliefs)
+        for label, item in theory.entries()
+        if not (isinstance(item, Literal) and item.predicate == "have")
+    ]
+    theory = Theory(entries + world, scenario.mediator.theory.general)
+    return [a.id for a in scenario.agents if any(prove(theory, goal) is None for _, goal in a.goals())]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, cause C")
+def test_a_reported_success_meets_every_agents_goal():
+    # b's undercut makes the mediator learn ~int a: can(a, go), so the repair plans for b alone
+    scenario = parse_scenario(UNDERCUT_SCENARIO)
+    out = mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
+    assert out.status != "success" or unmet_goals(scenario, out.transcript.final_ownership) == []
 
 
 @st.composite
