@@ -19,11 +19,11 @@ from .logic import (
     GIVE_PLAIN,
     OWNS,
     Entry,
-    GeneralKind,
     GeneralRule,
     Rule,
     Theory,
     believed_ownership,
+    generosity,
     ground_args,
     holdings,
     is_goal,
@@ -167,10 +167,6 @@ class AgentState:
         """The declared resources as `have` facts, labelled as disclosure labels them."""
         return [(f"res:{name}", ResourceDecl(self.id, name, value).have()) for name, value in self.resources]
 
-    def generous(self) -> bool:
-        """Whether a general principle declares the agent generous."""
-        return any(g.kind is GeneralKind.GENEROSITY and g.owner == self.id for g in self.general)
-
     def delta(self) -> Theory:
         """The agent's reasoning theory: beliefs plus modally wrapped intentions."""
         intentions = [(f"I:{label}", self.intention(fact)) for label, fact in self.unit("I").facts]
@@ -285,7 +281,7 @@ def bridge_step(agent: AgentState, inbox: list[Message]) -> tuple[AgentState, li
             action = msg.payload
             if action.giver != agent.id:
                 continue
-            if agent.generous() or not intends_to_keep(agent, action.resource):
+            if generosity(agent.general, agent.id) or not intends_to_keep(agent, action.resource):
                 agent, granted = _grant(agent, action)
                 if granted:
                     outbox.append(Message(MessageKind.GIVE, agent.id, action.receiver, action))

@@ -177,9 +177,9 @@ class Substitution:
         t = self.resolve(t)
         if is_var(t) and t.name == v.name:
             return self
-        new = dict(self._map)
-        new[v.name] = t
-        return Substitution(new)
+        new = object.__new__(Substitution)  # the one copy of the map; `__init__` would copy it again
+        new._map = {**self._map, v.name: t}
+        return new
 
     def apply(self, lit: Literal) -> Literal:
         owner = self.resolve(lit.owner) if lit.owner is not None else None

@@ -78,33 +78,19 @@ class Rule:
         return Rule(self.label, _fresh(self.head, fresh), body, naf)
 
     def canonical(self) -> tuple:
-        """Key equal for rules identical up to variable renaming; computed once per rule."""
-        if self._canonical is not None:
-            return self._canonical
-        names: dict[str, str] = {}
+        """Key equal for rules identical up to variable renaming, computed once: per literal its modality,
+        polarity, predicate and terms, a variable as the number of its first occurrence, a constant as itself."""
+        if self._canonical is None:
+            numbers: dict[str, int] = {}
 
-        def canon_term(t: Term):
-            if is_var(t):
-                return ("v", names.setdefault(t.name, f"V{len(names)}"))
-            return ("c", t.symbol)
+            def key(lit: Literal) -> tuple:
+                terms = (lit.owner, *lit.args)
+                terms = tuple(numbers.setdefault(t.name, len(numbers)) if type(t) is Variable else t for t in terms)
+                return (lit.modality, lit.positive, lit.predicate, terms)
 
-        def canon_lit(lit: Literal):
-            owner = canon_term(lit.owner) if lit.owner is not None else None
-            return (
-                lit.modality.value,
-                owner,
-                lit.positive,
-                lit.predicate,
-                tuple(canon_term(a) for a in lit.args),
-            )
-
-        key = (
-            canon_lit(self.head),
-            tuple(canon_lit(b) for b in self.body),
-            tuple(canon_lit(n) for n in self.naf),
-        )
-        object.__setattr__(self, "_canonical", key)
-        return key
+            canonical = (key(self.head), tuple(map(key, self.body)), tuple(map(key, self.naf)))
+            object.__setattr__(self, "_canonical", canonical)
+        return self._canonical
 
     def __str__(self) -> str:
         if self.is_fact:
@@ -186,10 +172,14 @@ class GeneralRule:
 Entry = Union[Literal, Rule]
 
 
+def generosity(general: Iterable[GeneralRule], owner: str) -> Optional[GeneralRule]:
+    """The first general principle that declares the owner generous, or None."""
+    return next((g for g in general if g.kind is GeneralKind.GENEROSITY and g.owner == owner), None)
+
+
 def entry_canonical(item: Entry):
-    if isinstance(item, Rule):
-        return ("rule",) + item.canonical()
-    return item
+    """A fact is its own key; a rule's 3-tuple key never equals a 5-field literal."""
+    return item.canonical() if isinstance(item, Rule) else item
 
 
 # shapes of the ownership and transfer facts read by `ground_args`
@@ -231,36 +221,34 @@ class _view:
 
 
 class Theory:
-    """Ordered labelled facts and rules plus enabled general principles; each view of them is a `_view`."""
+    """Labelled facts and rules in one dict, in declaration order, their keys and the enabled general principles."""
 
     def __init__(
         self,
         entries: Iterable[tuple[str, Entry]] = (),
         general: Iterable[GeneralRule] = (),
     ):
-        self._entries: list[tuple[str, Entry]] = []
-        self._by_label: dict[str, Entry] = {}
+        self._entries: dict[str, Entry] = {}
         self._keys: set = set()
         self.general: tuple[GeneralRule, ...] = tuple(general)
         for label, item in entries:
-            if label in self._by_label:
+            if label in self._entries:
                 raise ValueError(f"duplicate label {label!r}")
             if isinstance(item, Rule) and not item.range_restricted():
                 raise ValueError(f"rule {label} is not range-restricted")
-            self._entries.append((label, item))
-            self._by_label[label] = item
+            self._entries[label] = item
             self._keys.add(entry_canonical(item))
 
     # -- views ---------------------------------------------------------
 
     def entries(self) -> list[tuple[str, Entry]]:
-        return list(self._entries)
+        return list(self._entries.items())
 
     def lookup(self, label: str) -> Optional[Entry]:
-        return self._by_label.get(label)
+        return self._entries.get(label)
 
     def labels(self) -> list[str]:
-        return [l for l, _ in self._entries]
+        return list(self._entries)
 
     def contains(self, item: Entry) -> bool:
         return entry_canonical(item) in self._keys
@@ -270,16 +258,16 @@ class Theory:
 
     @_view
     def facts(self) -> list[tuple[str, Literal]]:
-        return [(l, e) for l, e in self._entries if isinstance(e, Literal)]
+        return [(l, e) for l, e in self._entries.items() if isinstance(e, Literal)]
 
     @_view
     def rules(self) -> list[tuple[str, Rule]]:
-        return [(l, e) for l, e in self._entries if isinstance(e, Rule)]
+        return [(l, e) for l, e in self._entries.items() if isinstance(e, Rule)]
 
     @_view
     def index(self) -> ShapeIndex:
         index = ShapeIndex()
-        for label, item in self._entries:
+        for label, item in self._entries.items():
             if isinstance(item, Literal):
                 index.facts.setdefault(shape(item), []).append((label, item))
             elif not item.is_fact:
@@ -318,7 +306,7 @@ class Theory:
         rules. A bodiless rule is not indexed, so its label is left out.
         """
         out: dict[str, tuple] = {}
-        for label, item in self._entries:
+        for label, item in self._entries.items():
             if isinstance(item, Literal):
                 out[label] = (shape(item), None, ())
             elif not item.is_fact:
@@ -336,9 +324,6 @@ class Theory:
                 return g
         return None
 
-    def generosity_owners(self) -> set[str]:
-        return {g.owner for g in self.general if g.kind is GeneralKind.GENEROSITY and g.owner}
-
     # -- construction --------------------------------------------------
 
     def extended(self, items: Iterable[tuple[str, Entry]], general=None) -> "Theory":
@@ -348,23 +333,22 @@ class Theory:
         parent stays so unless a new fact meets its complement.
         """
         t = Theory((), self.general if general is None else general)
-        t._entries, t._by_label, t._keys = list(self._entries), dict(self._by_label), set(self._keys)
-        entries, by_label, keys = t._entries, t._by_label, t._keys
+        t._entries, t._keys = dict(self._entries), set(self._keys)
+        entries, keys = t._entries, t._keys
         new = []
         for label, item in items:
             key = entry_canonical(item)
             if key in keys:
                 continue
             lab, n = label, 1
-            while lab in by_label:
+            while lab in entries:
                 n += 1
                 lab = f"{label}~{n}"
             if key is item:  # a fact is its own key
                 new.append(item)
             elif not item.range_restricted():
                 raise ValueError(f"rule {lab} is not range-restricted")
-            entries.append((lab, item))
-            by_label[lab] = item
+            entries[lab] = item
             keys.add(key)
         if self._clash_free() and not any(f.complement() in keys for f in new):
             t.clash = None
@@ -373,9 +357,8 @@ class Theory:
     def filtered(self, keep: Callable[[str, Entry], bool], general=None) -> "Theory":
         """Sub-theory of the entries `keep` accepts, in order; they were checked when first added."""
         t = Theory((), self.general if general is None else general)
-        t._entries = [(l, e) for l, e in self._entries if keep(l, e)]
-        t._by_label = dict(t._entries)
-        t._keys = {entry_canonical(e) for _, e in t._entries}
+        t._entries = {l: e for l, e in self._entries.items() if keep(l, e)}
+        t._keys = set(map(entry_canonical, t._entries.values()))
         if self._clash_free():
             t.clash = None
         return t
@@ -388,7 +371,7 @@ class Theory:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Theory)
-            and self._entries == other._entries
+            and list(self._entries.items()) == list(other._entries.items())  # order counts
             and self.general == other.general
         )
 
@@ -449,7 +432,7 @@ def forward_chain(theory: Theory) -> dict[Literal, None]:
         if fact not in facts:
             add(fact)
 
-    rules = [r for _, r in theory.rules]
+    rules = [r for _, r in theory.rules if not r.is_fact]  # a bodiless rule proves nothing, as in `prove`
 
     def saturate(active: list[Rule], stratum: dict) -> None:
         changed = True
@@ -614,16 +597,15 @@ class _Search:
         owner = subst.resolve(goal.owner) if goal.owner is not None else None
         if not isinstance(owner, Constant):
             return
-        kind = GeneralKind.GENEROSITY
-        generosity = next((g for g in self.theory.general if g.kind is kind and g.owner == owner.symbol), None)
-        if generosity is None:
+        principle = generosity(self.theory.general, owner.symbol)
+        if principle is None:
             return
         want = Literal(OWNS, (owner, goal.args[1]))
         for label, fact in self.index.facts.get(HAVE, ()):
             s = unify(want, fact, subst)
             if s is None or fact.args[0] != owner:
                 continue
-            yield s, frozenset([label, generosity.label])
+            yield s, frozenset([label, principle.label])
 
     def _solve_refusal(self, goal, subst, depth):
         """~int w: give(x, y, z) when x's committed plan needs z and x holds z.
@@ -754,6 +736,13 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     return out
 
 
+def ranked_plans(theory: Theory, agent: str, goal_atom: Literal, met: set[str]) -> list[PlanOption]:
+    """The grounded plan options for the goal, best first: fewest needed resources not in `met`, then label."""
+    options = [o for o in plan_options(theory, agent, goal_atom) if o.grounded]
+    options.sort(key=lambda o: (sum(r not in met for r in o.needed), o.label))
+    return options
+
+
 def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, str, set[str], bool]]:
     """Unique-choice plan commitment for the agent's first viable goal.
 
@@ -766,10 +755,9 @@ def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, str, set[str]
     met = holdings(theory, agent)
     met |= {res for _, to, res in ground_args(theory, GIVE_INTENDED) if to == agent}
     for goal_label, goal_fact in base_goals(theory, agent):
-        options = [o for o in plan_options(theory, agent, goal_fact.atom()) if o.grounded]
+        options = ranked_plans(theory, agent, goal_fact.atom(), met)
         if options:
-            best = min(options, key=lambda o: (sum(r not in met for r in o.needed), o.label))
-            return goal_label, best.label, set(best.needed), len(options) > 1
+            return goal_label, options[0].label, set(options[0].needed), len(options) > 1
     return None
 
 

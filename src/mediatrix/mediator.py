@@ -47,9 +47,10 @@ from .logic import (
     base_goals,
     believed_ownership,
     entry_canonical,
+    generosity,
     goals_of,
     ground_args,
-    plan_options,
+    ranked_plans,
 )
 
 
@@ -135,13 +136,10 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
 
 
 def _plans_for(gamma: Theory, agent: str, goal_atom: Literal, owned: set[str]) -> list[MediatorPlan]:
-    plans = [
+    return [
         MediatorPlan(agent, o.label, o.needed, tuple(r for r in o.needed if r not in owned))
-        for o in plan_options(gamma, agent, goal_atom)
-        if o.grounded
+        for o in ranked_plans(gamma, agent, goal_atom, owned)
     ]
-    plans.sort(key=lambda p: (len(p.unmet), p.rule_label))
-    return plans
 
 
 def _blocked_transfers(gamma: Theory) -> set[GiveAction]:
@@ -169,7 +167,6 @@ def create_solution(
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
-    generous = gamma.generosity_owners()
     excluded = set(exclude) | _blocked_transfers(gamma)
 
     per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
@@ -187,7 +184,7 @@ def create_solution(
                 if donor is None or donor == p.agent or res in taken:
                     feasible = False
                     break
-                if donor not in generous and res in needed.get(donor, set()):
+                if res in needed.get(donor, ()) and generosity(gamma.general, donor) is None:
                     feasible = False
                     break
                 give = GiveAction(donor, p.agent, res)
@@ -239,13 +236,14 @@ class Mediation:
     ):
         if len(agents) != 2:
             raise ValueError("exactly two negotiating agents are supported")
-        self.agents = {a.id: a for a in agents}
-        self.order = [a.id for a in agents]
+        self.agents = {a.id: a for a in agents}  # in the given order, which every round follows
+        if len(self.agents) != len(agents):
+            raise ValueError(f"agent ids must be distinct, got {[a.id for a in agents]}")
         self.mediator = mediator
         self.config = config or MediationConfig()
         self.scenario_name = scenario_name
         self.gamma = mediator.theory
-        self._case_goals = {f for a in self.order for _, f in base_goals(self.gamma, a)}  # none disclosed yet
+        self._case_goals = {f for a in self.agents for _, f in base_goals(self.gamma, a)}  # none disclosed yet
         self.world: dict[str, frozenset[str]] = {
             a.id: frozenset(a.owned()) for a in agents
         }
@@ -294,7 +292,7 @@ class Mediation:
         return package
 
     def goals(self) -> dict[str, Literal]:
-        return goals_of(self.gamma, self.order, self.mediator.theory)
+        return goals_of(self.gamma, self.agents, self.mediator.theory)
 
     def _relevant(self, solution: Solution, agent_id: str) -> list[Argument]:
         rel = []
@@ -361,10 +359,10 @@ class Mediation:
             if c.predicate == GIVE and len(c.args) == 3:
                 excluded.add(GiveAction(*(a.symbol for a in c.args)))
         repaired = self._solve(exclude=excluded)
-        explanations = {a: () for a in self.order}
+        explanations = {a: () for a in self.agents}
         explanations[rejecting] = tuple(sorted(s.label for s in explanation))
-        verdicts = [] if repaired is None else [self.propose(a, repaired) for a in self.order]
-        for agent_id, (rejected, expl, _) in zip(self.order, verdicts):
+        verdicts = [] if repaired is None else [self.propose(a, repaired) for a in self.agents]
+        for agent_id, (rejected, expl, _) in zip(self.agents, verdicts):
             if rejected:
                 explanations[agent_id] = tuple(sorted({s.label for s in expl}))
         accepted = repaired is not None and not any(rejected for rejected, _, _ in verdicts)
@@ -399,7 +397,7 @@ class Mediation:
                 break
             for m in queue:
                 record(m)
-            inboxes: dict[str, list[Message]] = {a: [] for a in self.order}
+            inboxes: dict[str, list[Message]] = {a: [] for a in self.agents}
             mediator_inbox: list[Message] = []
             for m in queue:
                 if m.receiver in inboxes:
@@ -407,7 +405,7 @@ class Mediation:
                 elif m.receiver == self.mediator.id:
                     mediator_inbox.append(m)
             queue = []
-            for agent_id in self.order:
+            for agent_id in self.agents:
                 state, outbox = bridge_step(self.agents[agent_id], inboxes[agent_id])
                 self.agents[agent_id] = state
                 for m in outbox:
@@ -415,7 +413,7 @@ class Mediation:
                         self.world = execute_give(self.world, m.payload)
                     queue.append(m)
             for m in mediator_inbox:
-                if m.kind is MessageKind.ASK and self.mediator.id in self.gamma.generosity_owners():
+                if m.kind is MessageKind.ASK and generosity(self.gamma.general, self.mediator.id):
                     action: GiveAction = m.payload
                     if action.resource in self.world.get(self.mediator.id, frozenset()):
                         self.world = execute_give(self.world, action)
@@ -433,10 +431,10 @@ class Mediation:
         rounds_played = 0
         for round_no in range(1, self.config.max_rounds + 1):
             rounds_played = round_no
-            packages = {a: self.get_knowledge(a, round_no) for a in self.order}
+            packages = {a: self.get_knowledge(a, round_no) for a in self.agents}
             delta_labels = self._learn(
                 d.payload.have() if isinstance(d.payload, ResourceDecl) else d.payload
-                for a in self.order
+                for a in self.agents
                 for d in packages[a]
             )
             solution = self._solve()
@@ -450,17 +448,17 @@ class Mediation:
                     reason = "no new knowledge and no solution"
             else:
                 stall = 0
-                verdicts = {a: self.propose(a, solution) for a in self.order}
+                verdicts = {a: self.propose(a, solution) for a in self.agents}
                 proposals = [prop for _, _, prop in verdicts.values()]
                 explained = [
                     s.item
-                    for a in self.order
+                    for a in self.agents
                     for s in verdicts[a][1]
                     if not isinstance(s.item, GeneralRule)
                 ]
                 if explained:
                     self._learn(explained)
-                rejecting = [a for a in self.order if verdicts[a][0]]
+                rejecting = [a for a in self.agents if verdicts[a][0]]
                 if not rejecting:
                     final, reason = solution, "both agents accepted the solution"
                 elif len(rejecting) == 1:
@@ -481,7 +479,7 @@ class Mediation:
                 tr.Round(
                     number=round_no,
                     disclosures=tuple(
-                        (a, tuple(str(d.payload) for d in packages[a])) for a in self.order
+                        (a, tuple(str(d.payload) for d in packages[a])) for a in self.agents
                     ),
                     revision_delta=tuple(delta_labels),
                     new_knowledge=bool(delta_labels),

@@ -13,7 +13,17 @@ from typing import NamedTuple
 
 from .agent import GiveAction
 from .lang import Literal
-from .logic import DEFAULT_PROOF_DEPTH, DepthExceeded, Entry, Theory, base_goals, believed_ownership, goals_of, prove
+from .logic import (
+    DEFAULT_PROOF_DEPTH,
+    DepthExceeded,
+    Entry,
+    Theory,
+    base_goals,
+    believed_ownership,
+    generosity,
+    goals_of,
+    prove,
+)
 from .mediator import _blocked_transfers, _plans_for, create_solution
 from .scenario import Scenario
 
@@ -42,7 +52,6 @@ def brute_force_candidates(
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
-    generous = gamma.generosity_owners()
     blocked = _blocked_transfers(gamma)
     per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
     if any(not plans for plans in per_agent):
@@ -69,7 +78,7 @@ def brute_force_candidates(
                 if donor is None or donor == p.agent:
                     ok = False
                     break
-                if donor not in generous and res in needed.get(donor, set()):
+                if res in needed.get(donor, ()) and generosity(gamma.general, donor) is None:
                     ok = False
                     break
                 give = GiveAction(donor, p.agent, res)

@@ -45,6 +45,7 @@ from mediatrix.logic import (
     believed_ownership,
     consistent,
     forward_chain,
+    generosity,
     ground_args,
     holdings,
     plan_options,
@@ -555,12 +556,26 @@ class TestProvableShapes:
         theory = Theory([("r", Rule("r", atom("p", "a")))])
         assert logic.provable_shapes(theory, {"r"}) == set() and prove(theory, atom("p", "a")) is None
 
+    def test_a_bodiless_rule_derives_nothing(self):
+        theory = Theory([("f", atom("p", "a").complement()), ("r", Rule("r", atom("p", "a")))])
+        assert list(forward_chain(theory)) == [atom("p", "a").complement()] and consistent(theory)
+
     def test_reduction_reaches_a_transfer_through_the_ownership_principle(self, gamma_full):
         keep = {"G.1", "G.2", "M.2", "M.5", "M.7"}
         goal = intends("beta", atom("give", "alpha", "beta", "screw"))
         assert prove(gamma_full.restricted(keep), goal).premises == keep
         assert GIVE_INTENDED in logic.provable_shapes(gamma_full, keep)
         assert all(GIVE_INTENDED not in logic.provable_shapes(gamma_full, keep - {label}) for label in keep)
+
+
+def test_the_first_principle_naming_an_owner_is_its_generosity():
+    general = (
+        GeneralRule("G.1", GeneralKind.OWNERSHIP),
+        GeneralRule("G.2", GeneralKind.GENEROSITY, "m"),
+        GeneralRule("G.3", GeneralKind.GENEROSITY, "m"),
+    )
+    assert generosity(general, "m") is general[1]
+    assert generosity(general, "a") is None and generosity((), "m") is None
 
 
 class TestOwnershipView:
@@ -763,6 +778,41 @@ def test_prove_agrees_with_fixpoint_exhaustively():
             assert provable == (goal in fixpoint), f"{goal} in {theory.entries()}"
             checked += 1
     assert checked > 1000
+
+
+# predicates by level: a rule's head has a higher level than each of its body literals
+STRATA = (("p", 1), ("q", 2), ("s", 1), ("t", 2))
+STRATA_CONSTANTS = ["a", "b", "c"]
+STRATA_GOALS = [atom(p, *cs) for p, n in STRATA for cs in itertools.product(STRATA_CONSTANTS, repeat=n)]
+
+
+@st.composite
+def stratified_theories(draw):
+    """Ground facts, and plain positive range-restricted rules without absence conditions or recursion.
+
+    A rule of level 0 has no body; such bodiless rules, ground or not, occur at every level.
+    """
+
+    def literal(level: int, terms: list[str]) -> Literal:
+        predicate, arity = STRATA[level]
+        return atom(predicate, *(draw(st.sampled_from(terms)) for _ in range(arity)))
+
+    entries = [(f"f{i}", literal(draw(st.integers(0, 3)), STRATA_CONSTANTS)) for i in range(draw(st.integers(0, 6)))]
+    for i in range(draw(st.integers(0, 5))):
+        level = draw(st.integers(0, 3))
+        size = draw(st.integers(0, 2)) if level else 0
+        body = [literal(draw(st.integers(0, level - 1)), ["X", "Y", "Z", "a", "b"]) for _ in range(size)]
+        bound = sorted({v for b in body for v in b.variables()}) if body else ["X", "Y"]
+        entries.append((f"r{i}", rule(f"r{i}", literal(level, bound + STRATA_CONSTANTS), *body)))
+    return Theory(entries)
+
+
+@settings(max_examples=300)
+@given(stratified_theories())
+def test_prove_finds_exactly_the_least_model_of_a_stratified_plain_theory(theory):
+    model = forward_chain(theory)
+    for goal in STRATA_GOALS:
+        assert (prove(theory, goal) is not None) == (goal in model), f"{goal}"
 
 
 def test_fixpoint_monotone_under_fact_addition():

@@ -219,6 +219,14 @@ class TestMediate:
         with pytest.raises(ValueError):
             Mediation([s.agents[0]], s.mediator)
 
+    def test_agent_ids_must_be_distinct(self):
+        s = load_scenario("home_improvement")
+        a = s.agents[0]
+        with pytest.raises(ValueError, match="agent ids must be distinct"):
+            mediate([a, a], s.mediator)
+        with pytest.raises(ValueError, match="agent ids must be distinct"):
+            Mediation([a, replace(s.agents[1], id=a.id)], s.mediator)
+
 
 def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
     gamma, goals = oracle.full_disclosure(load_scenario("two_donor"))
