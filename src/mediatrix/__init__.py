@@ -16,7 +16,7 @@ from .argumentation import (
     construct_argument,
     evaluate,
 )
-from .lang import Constant, Literal, Modality, Substitution, Variable, apply, unify
+from .lang import Constant, Literal, Modality, Substitution, Variable, unify
 from .logic import (
     DepthExceeded,
     GeneralKind,
@@ -78,7 +78,6 @@ __all__ = [
     "ValidationError",
     "Variable",
     "Verdict",
-    "apply",
     "bridge_step",
     "consistent",
     "construct_argument",

@@ -8,7 +8,7 @@ transfers become requests, and requests for unneeded items are granted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -94,7 +94,6 @@ class Plan:
     needed: tuple[str, ...]  # resources the plan requires the agent to hold
     unmet: tuple[Literal, ...]
     transfers: tuple[GiveAction, ...]
-    selected: bool = False
 
 
 class DisclosureItem(NamedTuple):
@@ -118,15 +117,16 @@ class ResourceDecl:
 UNITS = ("B", "D", "I")
 
 
-class _Ranked(tuple):
-    """Resources already sorted by value and checked to lie in [0, 1]."""
+def resource_order(resource: tuple[str, Fraction]) -> tuple[Fraction, str]:
+    """The order of a resource list: ascending by value, ties by name."""
+    return resource[1], resource[0]
 
 
 @dataclass(frozen=True)
 class AgentState:
     id: str
     units: dict[str, Theory]
-    resources: tuple[tuple[str, Fraction], ...]  # ascending by value, ties by name
+    resources: tuple[tuple[str, Fraction], ...]  # in `resource_order`
     strategy: Strategy = Strategy.EAGER
     general: tuple[GeneralRule, ...] = ()
     bridges: frozenset[str] = frozenset(ALL_BRIDGES)
@@ -135,9 +135,7 @@ class AgentState:
     fresh: int = 0
 
     def __post_init__(self):
-        if type(self.resources) is _Ranked:  # kept by a `replace` that changes other fields
-            return
-        ordered = _Ranked(sorted(self.resources, key=lambda r: (r[1], r[0])))
+        ordered = tuple(sorted(self.resources, key=resource_order))
         object.__setattr__(self, "resources", ordered)
         for name, value in ordered:
             if not 0 <= value <= 1:
@@ -180,7 +178,7 @@ class AgentState:
         return self._with(fresh=n), f"{prefix}{self.id}.{n}"
 
     def _with(self, **changes) -> "AgentState":
-        """A copy with the given fields changed; `resources` changes through `replace`, which ranks them."""
+        """A copy with the given fields changed, without the constructor's sort and range check."""
         new = object.__new__(AgentState)
         new.__dict__.update(self.__dict__, **changes)
         return new
@@ -192,7 +190,7 @@ class AgentState:
 
 
 def plan(agent: AgentState, goal: Literal) -> list[Plan]:
-    """Plans for an intention, with exactly one marked selected.
+    """Plans for an intention, best first: the first is the one the agent commits to.
 
     Candidate rules come from the belief unit; a plan is suppressed
     entirely when the agent explicitly does not intend the goal
@@ -226,7 +224,7 @@ def plan(agent: AgentState, goal: Literal) -> list[Plan]:
         plans.append(Plan(o.label, o.needed, tuple(unmet), tuple(transfers)))
 
     plans.sort(key=lambda p: (len(p.unmet), len(p.transfers), p.rule_label))
-    return [replace(p, selected=(i == 0)) for i, p in enumerate(plans)]
+    return plans
 
 
 def _promises(agent: AgentState) -> dict[str, str]:
@@ -241,16 +239,16 @@ def _promises(agent: AgentState) -> dict[str, str]:
 def intends_to_keep(agent: AgentState, resource: str) -> bool:
     """NAF over the intention unit after replanning.
 
-    True when an explicit keep intention exists or the selected plan for
+    True when an explicit keep intention exists or the first plan for
     one of the agent's goals needs the resource.
     """
     keep = Literal(OWNS, (Constant(agent.id), Constant(resource)))
     if agent.unit("I").has_fact(keep):
         return True
     for _, goal in agent.goals():
-        for p in plan(agent, agent.intention(goal)):
-            if p.selected and resource in p.needed:
-                return True
+        plans = plan(agent, agent.intention(goal))
+        if plans and resource in plans[0].needed:
+            return True
     return False
 
 
@@ -338,8 +336,8 @@ def _apply_transfer(agent: AgentState, action: GiveAction) -> AgentState:
     if action.giver == me:
         resources = tuple(r for r in resources if r[0] != action.resource)
     if action.receiver == me and action.resource not in {r[0] for r in resources}:
-        resources = resources + ((action.resource, Fraction(0)),)
-    return replace(agent, resources=resources)
+        resources = tuple(sorted((*resources, (action.resource, Fraction(0))), key=resource_order))
+    return agent._with(resources=resources)
 
 
 def _propagate_realism(agent: AgentState) -> AgentState:

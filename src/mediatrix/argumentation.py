@@ -19,6 +19,7 @@ from .logic import (
     DepthExceeded,
     Entry,
     GeneralRule,
+    Proof,
     Theory,
     consistent,
     provable_shapes,
@@ -88,10 +89,20 @@ def _support_items(delta: Theory, labels: Iterable[str], rank: dict[str, int]) -
     return tuple(resolved)
 
 
+def _prove_within(theory: Theory, goal: Literal, depth: int) -> Optional[Proof]:
+    """A proof of goal, or None when there is none or the search hit the depth bound."""
+    try:
+        return prove(theory, goal, depth)
+    except DepthExceeded:
+        return None
+
+
 def construct_argument(
     delta: Theory, omega: Literal, depth: int = DEFAULT_PROOF_DEPTH
 ) -> Optional[Argument]:
-    """Build an argument for omega from delta, or None if omega is unprovable.
+    """Build an argument for omega from delta, or None if there is none within the depth bound.
+
+    None also covers a search that the bound cut off: no `DepthExceeded` escapes.
 
     The proof's premises are shrunk to a minimal support by dropping
     candidates in reverse declaration order and re-proving after each drop,
@@ -100,7 +111,7 @@ def construct_argument(
     (`provable_shapes`) is not re-proved. A support that turns out
     inconsistent is discarded.
     """
-    proof = prove(delta, omega, depth)
+    proof = _prove_within(delta, omega, depth)
     if proof is None:
         return None
     working = set(proof.premises)
@@ -114,10 +125,7 @@ def construct_argument(
         if shape(omega) not in provable_shapes(support, working - {label}):
             continue  # no proof at any depth without the label: it stays, as a failed re-proof keeps it
         candidate = support.restricted(working - {label})
-        try:
-            smaller = prove(candidate, omega, depth)
-        except DepthExceeded:
-            smaller = None
+        smaller = _prove_within(candidate, omega, depth)
         if smaller is not None:
             held = candidate if smaller.premises == working - {label} else None
             working = set(smaller.premises)
@@ -146,10 +154,7 @@ def evaluate(
     extended = delta.extended(list(context) + extension)
 
     def counter_for(point: Literal, kind: AttackKind) -> Optional[Decision]:
-        try:
-            counter = construct_argument(extended, point.complement(), depth)
-        except DepthExceeded:
-            counter = None
+        counter = construct_argument(extended, point.complement(), depth)
         if counter is None:
             return None
         attack = Attack(kind, counter, proposed, point)

@@ -41,7 +41,7 @@ class Constant:
         return self.symbol
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Variable:
     name: str
 
@@ -186,20 +186,8 @@ class Substitution:
         args = tuple(self.resolve(a) for a in lit.args)
         return _new(Literal, (lit.predicate, args, lit.positive, lit.modality, owner))
 
-    def items(self) -> list[tuple[str, Term]]:
-        return sorted((v, self.resolve(Variable(v))) for v in self._map)
-
     def __bool__(self) -> bool:
         return bool(self._map)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Substitution) and self.items() == other.items()
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(f"{v}->{t}" for v, t in self.items()) + "}"
 
 
 EMPTY_SUBSTITUTION = Substitution()
@@ -246,7 +234,3 @@ def may_unify(a: Literal, b: Literal) -> bool:
         if type(x) is Constant and type(y) is Constant and x is not y:
             return False
     return True
-
-
-def apply(subst: Substitution, lit: Literal) -> Literal:
-    return subst.apply(lit)

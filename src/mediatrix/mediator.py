@@ -40,7 +40,6 @@ from .logic import (
     DEFAULT_PROOF_DEPTH,
     GIVE,
     GIVE_REFUSED,
-    DepthExceeded,
     Entry,
     GeneralRule,
     Theory,
@@ -199,10 +198,7 @@ def create_solution(
             continue
         arguments = []
         for give in transfers:
-            try:
-                arg = construct_argument(gamma, give.intention(give.receiver), depth)
-            except DepthExceeded:
-                arg = None
+            arg = construct_argument(gamma, give.intention(give.receiver), depth)
             if arg is None:
                 feasible = False
                 break

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterator, Optional, Union
 
-from .agent import ALL_BRIDGES, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE, AgentState, Strategy
+from .agent import ALL_BRIDGES, BRIDGE_ADVICE, BRIDGE_ADVICE_RULE, AgentState, Strategy, resource_order
 from .lang import Constant, Literal, Modality, Term, Variable, _new
 from .logic import Entry, GeneralKind, GeneralRule, Rule, Theory
 from .mediator import MediationConfig, MediatorState
@@ -442,7 +442,7 @@ class _Parser:
         return Scenario(self.name, tuple(agent_states), mediator, self.config, tuple(self.warnings))
 
     def _sorted_resources(self, p: _Participant) -> tuple[tuple[str, Fraction], ...]:
-        ordered = tuple(sorted(p.resources, key=lambda r: (r[1], r[0])))
+        ordered = tuple(sorted(p.resources, key=resource_order))
         if list(ordered) != p.resources:
             self.warnings.append(f"resources of {p.id} re-sorted by ascending value")
         return ordered
@@ -502,9 +502,13 @@ def _formula(label: str, tag: str, owner: str, item: Entry) -> str:
 
 
 def _fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    f = float(value)
-    if Fraction(str(f)) == value:
-        return str(f)
-    return f"{value.numerator}/{value.denominator}"
+    """The shortest decimal that reads back as exactly `value`; every value the parser reads has one.
+
+    A denominator 2**a * 5**b needs max(a, b) places, fewer than its bit length.
+    """
+    d = value.denominator
+    places = next((k for k in range(d.bit_length()) if 10**k % d == 0), None)
+    if places is None or value < 0:
+        raise ValueError(f"resource value {value} has no decimal form the parser reads")
+    digits = str(value.numerator * 10**places // d).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}" if places else digits

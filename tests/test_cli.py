@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from mediatrix import oracle
 from mediatrix.cli import main
+from mediatrix.mediator import MediatorPlan, Solution, create_solution
 
 from conftest import SCENARIOS
 
@@ -65,6 +68,8 @@ class TestRun:
 
     def test_invalid_override_exit_one(self, capsys):
         assert main(["run", HOME, "--max-rounds", "0"]) == 1
+        assert main(["run", HOME, "--stall", "0"]) == 1
+        assert "--stall must be a positive integer" in capsys.readouterr().err
 
     def test_a_disclosed_goal_supersedes_the_case_goal(self, tmp_path, capsys):
         # each agent reaches its goal alone, but the mediator's case says `a` wants to stay
@@ -95,6 +100,9 @@ class TestRun:
         assert main(["run", HOME, "--verbosity", "quiet"]) == 2
         monkeypatch.setenv("MEDIATRIX_PROOF_DEPTH", "not-a-number")
         assert main(["run", HOME, "--verbosity", "quiet"]) == 1
+        monkeypatch.setenv("MEDIATRIX_PROOF_DEPTH", "0")
+        assert main(["run", HOME, "--verbosity", "quiet"]) == 1
+        assert "MEDIATRIX_PROOF_DEPTH must be positive" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -139,12 +147,47 @@ class TestCheck:
         assert "unreachable" not in out
 
 
+def _one_transfer_short(gamma, goals, depth):
+    solution = create_solution(gamma, goals, depth=depth)
+    return replace(solution, transfers=solution.transfers[1:])
+
+
+INVENTED = Solution((), (MediatorPlan("alpha", "A.9", (), ()), MediatorPlan("beta", "B.9", (), ())), ())
+
+
 class TestOracle:
     def test_agreement_on_fixtures(self, capsys):
         for name in ("home_improvement", "both_reject", "single_donor"):
             code = main(["oracle", str(SCENARIOS / f"{name}.med")])
             assert code == 0, name
             assert "agree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, planner, diff",
+        [
+            (
+                "home_improvement",
+                lambda gamma, goals, depth: None,
+                "planner found no solution but 1 candidate(s) exist, e.g. plans (('alpha', 'O.5'), ('beta', 'M.2'))",
+            ),
+            (
+                "home_improvement_no_m2",
+                lambda gamma, goals, depth: INVENTED,
+                "planner returned (('alpha', 'A.9'), ('beta', 'B.9')) but the enumerator finds no candidate",
+            ),
+            (
+                "home_improvement",
+                _one_transfer_short,
+                "planner returned (('alpha', 'O.5'), ('beta', 'M.2')) with transfers "
+                "['give(alpha, beta, screw)', 'give(mu, beta, screwdriver)'], not among the enumerator's candidates",
+            ),
+        ],
+        ids=["missed", "invented", "stray"],
+    )
+    def test_a_disagreement_exits_two_with_its_diff(self, monkeypatch, capsys, name, planner, diff):
+        monkeypatch.setattr(oracle, "create_solution", planner)
+        assert main(["oracle", str(SCENARIOS / f"{name}.med")]) == 2
+        assert capsys.readouterr().out == f"diff: {diff}\n"
 
 
 class TestUsage:

@@ -270,6 +270,30 @@ def test_full_disclosure_reads_agents_as_the_mediation_does():
     assert [(d.label, d.payload) for d in disclose(a, 1)[1]] == [(l, a.intention(g)) for l, g in a.goals()]
 
 
+# the case names two goals of `a`, and `a` discloses the second as its own
+CASE_GOALS = b"""agent a; agent b; mediator m;
+[a.1] int a: can(a, go).
+[a.2] bel a: can(X, go) :- have(X, r).
+[b.1] int b: can(b, go).
+[b.2] bel b: can(X, go) :- have(X, s).
+[m.1] bel m: int a: can(a, stay).
+[m.2] bel m: int a: can(a, go).
+resource a r = 0;
+resource b s = 0;
+"""
+
+
+def test_full_disclosure_moves_a_disclosed_case_goal_as_the_mediation_does():
+    s = parse_scenario(CASE_GOALS)
+    _, goals = oracle.full_disclosure(s)
+    mediation = Mediation(list(s.agents), s.mediator)
+    assert mediation.goals()["a"] == atom("can", "a", "stay")
+    mediation._learn(d.payload for d in mediation.get_knowledge("a", 1))
+    assert goals["a"] == mediation.goals()["a"] == atom("can", "a", "go")
+    rounds = mediate(list(s.agents), s.mediator).transcript.rounds
+    assert rounds[1].solution.plans == (("a", "M.3"), ("b", "M.5"))  # M.3 is a.2, a plan for can(a, go)
+
+
 def quadratic_gamma(scenario):
     """`full_disclosure`'s theory built with the rule it had: each offer compared with every earlier addition."""
     gamma = scenario.mediator.theory

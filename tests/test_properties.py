@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mediatrix import mediator, parse_scenario
 from mediatrix.agent import Message, MessageKind, RealismViolation, bridge_step
 from mediatrix.argumentation import AttackKind, Verdict, construct_argument, evaluate
-from mediatrix.lang import Literal, apply, atom, intends, unify
+from mediatrix.lang import Literal, atom, intends, unify
 from mediatrix.logic import (
     HAVE,
     DepthExceeded,
@@ -76,8 +76,8 @@ def test_unifier_generality(l1, l2, g):
         return
     mgu = unify(l1, l2)
     assert mgu is not None
-    assert unify(apply(mgu, l1), g) is not None
-    assert apply(mgu, l1) == apply(mgu, l2)
+    assert unify(mgu.apply(l1), g) is not None
+    assert mgu.apply(l1) == mgu.apply(l2)
 
 
 @settings(max_examples=200)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from mediatrix import scenario as scenario_module
 from mediatrix.agent import Strategy
-from mediatrix.lang import Literal, Modality, atom
+from mediatrix.lang import Literal, Modality, atom, intends
 from mediatrix.scenario import (
     ParseError,
     ValidationError,
@@ -142,12 +143,29 @@ class TestParse:
         with pytest.raises(ValidationError, match="participant"):
             parse_scenario(MINIMAL + "[z.1] bel zeus: thunder(now).\n")
 
+    def test_unlabelled_formulas_are_numbered_per_owner(self):
+        s = parse_scenario(UNLABELLED_AND_DOUBLY_NEGATED)
+        a = s.agents[0]
+        assert (a.unit("I").labels(), a.unit("B").labels()) == (["a.1"], ["a.2"])
+        assert s.agents[1].unit("I").labels() == ["b.1"]
+
+    def test_a_tilde_on_each_side_of_a_modal_prefix_cancels(self):
+        lit = parse_scenario(UNLABELLED_AND_DOUBLY_NEGATED).mediator.theory.lookup("m.1")
+        assert lit == intends("a", atom("can", "a", "stay"))
+
 
 SHIPPED = sorted(SCENARIOS.glob("*.med"))
 MEDIATOR_RULES_UNDER_DES_AND_INT = b"""scenario tags; agent a; agent b; mediator m;
 [M.1] int m: can(X, go) :- have(X, key).
 [M.2] des m: can(X, stay) :- have(X, chair).
 [M.3] bel m: have(a, key).
+"""
+
+UNLABELLED_AND_DOUBLY_NEGATED = b"""scenario unlabelled; agent a; agent b; mediator m;
+int a: can(a, go).
+bel a: can(X, go) :- have(X, r).
+int b: can(b, go).
+[m.1] bel m: ~int a: ~can(a, stay).
 """
 
 NULLARY_ATOMS = b"""scenario nullary; agent a; agent b; mediator m;
@@ -157,11 +175,22 @@ NULLARY_ATOMS = b"""scenario nullary; agent a; agent b; mediator m;
 """
 
 
+def decimal_texts():
+    """Resource values in [0, 1] as the parser reads them, with up to 25 decimal places."""
+
+    def text(places: int, n: int) -> str:
+        whole, fraction = divmod(n, 10**places)
+        return f"{whole}.{fraction:0{places}d}" if places else str(whole)
+
+    return st.integers(0, 25).flatmap(lambda places: st.integers(0, 10**places).map(lambda n: text(places, n)))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "text",
-        [p.read_bytes() for p in SHIPPED] + [MEDIATOR_RULES_UNDER_DES_AND_INT, NULLARY_ATOMS],
-        ids=[p.stem for p in SHIPPED] + ["mediator_rules_under_des_and_int", "nullary_atoms"],
+        [p.read_bytes() for p in SHIPPED]
+        + [MEDIATOR_RULES_UNDER_DES_AND_INT, NULLARY_ATOMS, UNLABELLED_AND_DOUBLY_NEGATED],
+        ids=[p.stem for p in SHIPPED] + ["mediator_rules_under_des_and_int", "nullary_atoms", "unlabelled"],
     )
     def test_shipped_fixture(self, text: bytes):
         first = parse_scenario(text)
@@ -176,6 +205,30 @@ class TestRoundTrip:
         again = parse_scenario(data)
         assert again.agents[0].unit("B").labels() == home_improvement.agents[0].unit("B").labels()
         assert again.mediator.theory.entries() == home_improvement.mediator.theory.entries()
+
+    @pytest.mark.parametrize(
+        "value, written",
+        [("0.0000001", "0.0000001"), ("0.12345678901234567890", "0.1234567890123456789"), ("0.50", "0.5")],
+    )
+    def test_a_resource_value_is_written_as_a_decimal(self, value, written):
+        first = parse_scenario(MINIMAL + f"resource a r = {value};\n")
+        data = serialize_scenario(first)
+        assert f"resource a r = {written};" in data.decode()
+        assert parse_scenario(data) == first
+
+    @settings(deadline=None)
+    @given(decimal_texts())
+    def test_every_decimal_resource_value_round_trips(self, value):
+        first = parse_scenario(MINIMAL + f"resource a r = {value};\n")
+        data = serialize_scenario(first)
+        assert parse_scenario(data) == first and dict(first.agents[0].resources)["r"] == Fraction(value)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(-1, 2)], ids=["third", "negative"])
+    def test_a_value_with_no_decimal_form_the_parser_reads_is_refused(self, value):
+        s = parse_scenario(MINIMAL)
+        mediator = replace(s.mediator, resources=(("r", value),))  # unlike an agent's, not range-checked
+        with pytest.raises(ValueError, match=f"^resource value {value} has no decimal form the parser reads$"):
+            serialize_scenario(replace(s, mediator=mediator))
 
 
 class TestFuzzSafety:
@@ -195,6 +248,10 @@ class TestFuzzSafety:
             b"0" * 100,
             b"scenario s; agent a; agent b; mediator m; [l] int a: p(",
             bytes(range(256)),
+            b"scenario s; agent a; agent b; mediator m; config patience = 3;",
+            b"scenario s; agent a; agent b; mediator m; config max_rounds = 1.5;",
+            b"scenario s; agent a; agent b; mediator m; config max_rounds = 0;",
+            b"scenario s; agent a; agent b; mediator m; [m.1] bel m: have(X, key).",
         ],
     )
     def test_garbage_raises_parse_or_validation_error(self, blob):

@@ -79,3 +79,27 @@ def test_malformed_transcript_raises_value_error_naming_the_field(kind):
     data = json.dumps(malform(to_dict(home_improvement_transcript()))).encode()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_transcript(data)
+
+
+COUNTER = "    counter to int alpha: give(beta, alpha, tool1) from {B.2, B.3, I:B.1, G.2, G.6}"
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        (
+            "two_donor",
+            [
+                COUNTER,
+                "  negotiation with beta succeeded",
+                "    repaired argument int alpha: give(mu, alpha, tool2) from {G.1, G.2, M.2, M.6, M.7}",
+            ],
+        ),
+        ("single_donor", [COUNTER, "  negotiation with beta failed"]),
+    ],
+)
+def test_text_transcript_states_each_counter_and_negotiation(name, expected):
+    s = load_scenario(name)
+    text = serialize_transcript(mediate(list(s.agents), s.mediator, s.config, s.name).transcript, "text")
+    lines = text.decode().splitlines()
+    assert [l for l in lines if l.lstrip().startswith(("counter to", "negotiation", "repaired"))] == expected
