@@ -122,6 +122,15 @@ def resource_order(resource: tuple[str, Fraction]) -> tuple[Fraction, str]:
     return resource[1], resource[0]
 
 
+def ordered_resources(resources) -> tuple[tuple[str, Fraction], ...]:
+    """The resources in `resource_order`; a value outside [0, 1] raises ValueError."""
+    ordered = tuple(sorted(resources, key=resource_order))
+    for name, value in ordered:
+        if not 0 <= value <= 1:
+            raise ValueError(f"resource value out of [0, 1]: {name}={value}")
+    return ordered
+
+
 @dataclass(frozen=True)
 class AgentState:
     id: str
@@ -135,11 +144,7 @@ class AgentState:
     fresh: int = 0
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.resources, key=resource_order))
-        object.__setattr__(self, "resources", ordered)
-        for name, value in ordered:
-            if not 0 <= value <= 1:
-                raise ValueError(f"resource value out of [0, 1]: {name}={value}")
+        object.__setattr__(self, "resources", ordered_resources(self.resources))
 
     # -- unit access -----------------------------------------------------
 

@@ -163,14 +163,15 @@ class Substitution:
         self._map: dict[str, Term] = dict(bindings or {})
 
     def resolve(self, t: Term) -> Term:
-        if not isinstance(t, Variable) or t.name not in self._map:
+        bindings = self._map
+        if type(t) is not Variable or t.name not in bindings:
             return t
         seen = set()
-        while isinstance(t, Variable) and t.name in self._map:
+        while type(t) is Variable and t.name in bindings:
             if t.name in seen:  # defensive; bind() never creates cycles
                 break
             seen.add(t.name)
-            t = self._map[t.name]
+            t = bindings[t.name]
         return t
 
     def bind(self, v: Variable, t: Term) -> "Substitution":
@@ -183,8 +184,7 @@ class Substitution:
 
     def apply(self, lit: Literal) -> Literal:
         owner = self.resolve(lit.owner) if lit.owner is not None else None
-        args = tuple(self.resolve(a) for a in lit.args)
-        return _new(Literal, (lit.predicate, args, lit.positive, lit.modality, owner))
+        return _new(Literal, (lit.predicate, tuple(map(self.resolve, lit.args)), lit.positive, lit.modality, owner))
 
     def __bool__(self) -> bool:
         return bool(self._map)

@@ -195,12 +195,13 @@ class ShapeIndex:
 
     Each rule carries its ordinal among the theory's non-fact rules, so a
     search that skips the rules of other shapes still knows where in the
-    declaration order it stands.
+    declaration order it stands. Under a body shape, a rule also carries its
+    body literals of that shape, in body order.
     """
 
     facts: dict[tuple, list[tuple[str, Literal]]] = field(default_factory=dict)
     heads: dict[tuple, list[tuple[int, str, Rule]]] = field(default_factory=dict)
-    bodies: dict[tuple, list[tuple[int, str, Rule]]] = field(default_factory=dict)
+    bodies: dict[tuple, list[tuple[int, str, Rule, list[Literal]]]] = field(default_factory=dict)
     rule_count: int = 0
 
 
@@ -274,9 +275,17 @@ class Theory:
                 entry = (index.rule_count, label, item)
                 index.rule_count += 1
                 index.heads.setdefault(shape(item.head), []).append(entry)
-                for key in dict.fromkeys(shape(b) for b in item.body):
-                    index.bodies.setdefault(key, []).append(entry)
+                body: dict[tuple, list[Literal]] = {}
+                for b in item.body:
+                    body.setdefault(shape(b), []).append(b)
+                for key, lits in body.items():
+                    index.bodies.setdefault(key, []).append((*entry, lits))
         return index
+
+    @_view
+    def principles(self) -> dict[GeneralKind, GeneralRule]:
+        """The enabled general principles: each kind's first `GeneralRule`, the one a proof charges."""
+        return {g.kind: g for g in reversed(self.general)}
 
     @_view
     def owned(self) -> list[tuple[str, Literal]]:
@@ -317,12 +326,6 @@ class Theory:
             fact, rule, kinds = out.get(g.label, (None, None, ()))
             out[g.label] = (fact, rule, kinds + (g.kind,))
         return out
-
-    def general_of(self, kind: GeneralKind) -> Optional[GeneralRule]:
-        for g in self.general:
-            if g.kind is kind:
-                return g
-        return None
 
     # -- construction --------------------------------------------------
 
@@ -481,22 +484,14 @@ class _Search:
         self.depth_hit = False
         self._tag = 0
 
-    def _tagged(self, candidates: list) -> Iterator[tuple[str, Rule, int]]:
-        """The candidates with the tag of their place in declaration order; a rule skipped still takes its tag."""
-        passed = 0
-        for ordinal, label, rule in candidates:
-            self._tag += ordinal - passed + 1
-            passed = ordinal + 1
-            yield label, rule, self._tag
-        self._tag += self.index.rule_count - passed
-
     def solve(
         self, goal: Literal, subst: Substitution, depth: int
     ) -> Iterator[tuple[Substitution, frozenset[str]]]:
         if depth <= 0:
             self.depth_hit = True
             return
-        goal = subst.apply(goal)
+        if subst:  # rule heads and the built-in schemes read the goal's terms resolved
+            goal = subst.apply(goal)
         key = shape(goal)
 
         for label, fact in self.index.facts.get(key, ()):
@@ -504,10 +499,13 @@ class _Search:
             if s is not None:
                 yield s, frozenset([label])
 
-        for label, r, tag in self._tagged(self.index.heads.get(key, ())):
+        passed = 0  # a rule skipped still takes the tag of its place
+        for ordinal, label, r in self.index.heads.get(key, ()):
+            self._tag += ordinal - passed + 1
+            passed = ordinal + 1
             if not may_unify(goal, r.head):  # no renaming mends a constant clash
                 continue
-            r = r.rename(tag)
+            r = r.rename(self._tag)
             s = unify(goal, r.head, subst)
             if s is None:
                 continue
@@ -515,8 +513,14 @@ class _Search:
                 if r.naf and not _naf_holds(r.naf, s2, self.theory.positive_stratum):
                     continue
                 yield s2, prem | {label}
+        self._tag += self.index.rule_count - passed
 
-        yield from self._solve_meta(goal, subst, depth)
+        if goal.modality is Modality.INT:  # the built-in schemes
+            if goal.positive:
+                yield from self._solve_reduction(goal, subst, depth)
+            else:
+                yield from self._solve_generosity(goal, subst)
+                yield from self._solve_refusal(goal, subst, depth)
 
     def _solve_body(self, body, subst, depth):
         if not body:
@@ -529,19 +533,23 @@ class _Search:
 
     # -- built-in schemes ------------------------------------------------
 
-    def _candidate_rules(self, inner: Literal) -> Iterator[tuple[Rule, int, frozenset[str]]]:
-        """Rules with a body literal of the inner atom's shape, each with its tag.
+    def _candidate_rules(self, inner: Literal) -> Iterator[tuple[Literal, list[Literal], int, tuple]]:
+        """Clauses with body literals of the inner atom's shape: head, those literals, tag and labels charged.
 
         Declared rules come first. Then, under the ownership principle, each
-        ownership fact have(x, z) licenses the derived rule
-        give(x, Y, z) -> have(Y, z); its use charges the fact and the
-        ownership principle to the premises. A derived rule takes two tags,
-        one for Y and one for its fresh names, and is built only when x and z
-        can match the giver and resource of the atom.
+        ownership fact have(x, z) licenses the derived clause
+        give(x, Y, z) -> have(Y, z), two plain literals; its use charges the
+        fact and the ownership principle to the premises. A derived clause
+        takes two tags, one for Y and one for its fresh names, and is built
+        only when x and z can match the giver and resource of the atom.
         """
-        for label, r, tag in self._tagged(self.index.bodies.get(shape(inner), ())):
-            yield r, tag, frozenset([label])
-        ownership = self.theory.general_of(GeneralKind.OWNERSHIP)
+        passed = 0
+        for ordinal, label, r, lits in self.index.bodies.get(shape(inner), ()):
+            self._tag += ordinal - passed + 1
+            passed = ordinal + 1
+            yield r.head, lits, self._tag, (label,)
+        self._tag += self.index.rule_count - passed
+        ownership = self.theory.principles.get(GeneralKind.OWNERSHIP)
         if ownership is None:
             return
         owned = self.theory.owned
@@ -555,47 +563,42 @@ class _Search:
             if not (is_var(giver) or giver == x) or not (is_var(resource) or resource == z):
                 continue
             recv = Variable(f"Y'{self._tag - 1}")
-            derived = Rule(f"{label}>{ownership.label}", Literal(OWNS, (recv, z)), (Literal(GIVE, (x, recv, z)),))
-            yield derived, self._tag, frozenset([label, ownership.label])
-
-    def _solve_meta(self, goal, subst, depth):
-        if goal.modality is Modality.INT and goal.positive:
-            yield from self._solve_reduction(goal, subst, depth)
-        if goal.modality is Modality.INT and not goal.positive:
-            yield from self._solve_generosity(goal, subst)
-            yield from self._solve_refusal(goal, subst, depth)
+            body = [_new(Literal, (GIVE, (x, recv, z), True, Modality.NONE, None))]
+            yield _new(Literal, (OWNS, (recv, z), True, Modality.NONE, None)), body, self._tag, (label, ownership.label)
 
     def _solve_reduction(self, goal, subst, depth):
         """Intending a rule's conclusion intends each of its preconditions.
 
         To prove int j: P, find a rule instance with P in its body and show
-        int j: head for that instance. The rule is never copied: `_bind`
-        names only the variables P leaves unbound.
+        int j: head for that instance. The rule is never copied: a body
+        literal with a constant where P has another is skipped unread, and
+        `_bind` names only the variables P leaves unbound.
         """
-        reduction = self.theory.general_of(GeneralKind.REDUCTION)
-        if reduction is None or goal.owner is None or is_var(subst.resolve(goal.owner)):
+        reduction = self.theory.principles.get(GeneralKind.REDUCTION)
+        owner = goal.owner
+        if reduction is None or type(owner) is not Constant:
             return
-        owner = subst.resolve(goal.owner)
-        inner = subst.apply(goal.atom())
-        key = shape(inner)
-        for r, tag, charged in self._candidate_rules(inner):
-            for b in r.body:
-                if shape(b) != key:
-                    continue
-                fresh = _Fresh(tag)
-                s = _bind(b, inner, subst, fresh)
+        inner = goal.atom()
+        for head, lits, tag, charged in self._candidate_rules(inner):
+            for b in lits:
+                s = None
+                for h, g in zip(b.args, inner.args):
+                    if h is not g and type(h) is Constant and type(g) is Constant:
+                        break  # no renaming mends a constant clash
+                else:
+                    fresh = _Fresh(tag)
+                    s = _bind(b, inner, subst, fresh)
                 if s is None:
                     continue
-                head_goal = Literal(r.head.predicate, _fresh(r.head, fresh).args, True, Modality.INT, owner)
+                head_goal = _new(Literal, (head.predicate, _fresh(head, fresh).args, True, Modality.INT, owner))
+                premises = frozenset((*charged, reduction.label))
                 for s2, prem in self.solve(head_goal, s, depth - 1):
-                    yield s2, prem | charged | {reduction.label}
+                    yield s2, prem | premises
 
     def _solve_generosity(self, goal, subst):
         """~int m: have(m, z) holds for a generous owner of z, charged to m's own declaration."""
-        if goal.predicate != OWNS or len(goal.args) != 2:
-            return
-        owner = subst.resolve(goal.owner) if goal.owner is not None else None
-        if not isinstance(owner, Constant):
+        owner = goal.owner
+        if goal.predicate != OWNS or len(goal.args) != 2 or type(owner) is not Constant:
             return
         principle = generosity(self.theory.general, owner.symbol)
         if principle is None:
@@ -615,14 +618,11 @@ class _Search:
         preconditions, promises counted as met, then label order). Only the
         selected plan's preconditions justify a refusal.
         """
-        parsimony = self.theory.general_of(GeneralKind.PARSIMONY)
-        reduction = self.theory.general_of(GeneralKind.REDUCTION)
-        if parsimony is None or reduction is None:
+        principles = self.theory.principles
+        parsimony, reduction = principles.get(GeneralKind.PARSIMONY), principles.get(GeneralKind.REDUCTION)
+        if parsimony is None or reduction is None or goal.predicate != GIVE or len(goal.args) != 3:
             return
-        if goal.predicate != GIVE or len(goal.args) != 3:
-            return
-        giver = subst.resolve(goal.args[0])
-        resource = subst.resolve(goal.args[2])
+        giver, _, resource = goal.args
         if is_var(giver) or is_var(resource):
             return
         plan = select_plan(self.theory, giver.symbol)
@@ -637,7 +637,7 @@ class _Search:
             return
         premises = {goal_label, rule_label, have_label, parsimony.label, reduction.label}
         if several:
-            choice = self.theory.general_of(GeneralKind.UNIQUE_CHOICE)
+            choice = principles.get(GeneralKind.UNIQUE_CHOICE)
             if choice is not None:
                 premises.add(choice.label)
         yield subst, frozenset(premises)
@@ -718,8 +718,13 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
         if key in seen:
             continue
         seen.add(key)
-        fresh = _Fresh(0)
-        s = _bind(rule.head, goal_atom, EMPTY_SUBSTITUTION, fresh)
+        s = None
+        for h, g in zip(rule.head.args, goal_atom.args):
+            if h is not g and type(h) is Constant and type(g) is Constant:
+                break  # no renaming mends a constant clash
+        else:
+            fresh = _Fresh(0)
+            s = _bind(rule.head, goal_atom, EMPTY_SUBSTITUTION, fresh)
         if s is None:
             continue
         body = [_fresh(b, fresh) for b in rule.body]

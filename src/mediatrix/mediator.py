@@ -27,6 +27,7 @@ from .agent import (
     bridge_step,
     disclose,
     execute_give,
+    ordered_resources,
 )
 from .argumentation import (
     Argument,
@@ -65,7 +66,10 @@ class IncoherentInput(MediationError):
 class MediatorState:
     id: str
     theory: Theory
-    resources: tuple[tuple[str, Fraction], ...] = ()
+    resources: tuple[tuple[str, Fraction], ...] = ()  # in `agent.resource_order`
+
+    def __post_init__(self):
+        object.__setattr__(self, "resources", ordered_resources(self.resources))
 
 
 class MediatorPlan(NamedTuple):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -53,6 +54,8 @@ from mediatrix.logic import (
 )
 from mediatrix.mediator import IncoherentInput, MediatorPlan, _plans_for, revise
 from mediatrix.oracle import Candidate
+
+from generators import make_case
 
 
 def rule(label, head, *body, naf=()):
@@ -514,6 +517,26 @@ class TestShapeIndex:
         )
         proof = prove(theory, intends("a", atom("use", "a", "W", "hammer")))
         assert str(proof.conclusion) == "int a: use(a, T'4, hammer)"
+
+    def test_the_ownership_clause_names_its_receiver_after_its_fact(self):
+        # every owned fact takes two tags, skipped or not: h3's clause gets Y'9 and tag 10
+        owned = [atom("have", "b", "r"), atom("have", "a", "s"), atom("have", "b", "s"), atom("have", "a", "r")]
+        theory = Theory(
+            [(f"h{i}", f) for i, f in enumerate(owned + [atom("have", "b", "t")])]
+            + [
+                ("c1", rule("c1", atom("can", "X", "go"), atom("have", "X", "r"))),
+                ("c2", rule("c2", atom("got", "Y"), atom("give", "a", "Y", "r"))),
+            ],
+            [GeneralRule("G.1", GeneralKind.OWNERSHIP), GeneralRule("G.2", GeneralKind.REDUCTION)],
+        )
+        search = logic._Search(theory)
+        inner = atom("give", "a", "W", "r")
+        receiver = Variable("Y'9")
+        assert list(search._candidate_rules(inner)) == [
+            (atom("got", "Y"), [atom("give", "a", "Y", "r")], 2, ("c2",)),
+            (atom("have", receiver, "r"), [atom("give", "a", receiver, "r")], 10, ("h3", "G.1")),
+        ]
+        assert search._tag == 12  # h4 still takes its two tags
 
     @pytest.mark.parametrize("names", [("U", "V"), ("Y_1", "X_1")])
     def test_fresh_names_never_capture_a_goal_variable(self, names):
@@ -1435,6 +1458,74 @@ def test_every_view_of_a_derived_theory_is_the_view_of_its_entries(case, data):
         except InconsistentTheory as clash:
             saturated = ("inconsistent", clash.literal)
         assert _view_of(theory, "positive_stratum") == saturated
+
+
+def _plan_options_binding_every_head(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
+    """`plan_options` without its constant-clash check: every rule head of the goal's shape goes through `_bind`."""
+    me = Constant(agent)
+    out, seen = [], set()
+    for _, label, r in theory.index.heads.get(shape(goal_atom), ()):
+        if r.canonical() in seen:
+            continue
+        seen.add(r.canonical())
+        fresh = logic._Fresh(0)
+        s = logic._bind(r.head, goal_atom, EMPTY_SUBSTITUTION, fresh)
+        if s is None:
+            continue
+        needed, missing, open_resource = [], [], False
+        for p in (s.apply(logic._fresh(b, fresh)) for b in r.body):
+            if p.predicate == "have" and len(p.args) == 2 and p.args[0] == me:
+                if isinstance(p.args[1], Constant):
+                    needed.append(p.args[1].symbol)
+                else:
+                    open_resource = True
+            elif not (p.is_ground() and theory.has_fact(p)):
+                missing.append(p)
+        out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plan_options_skips_only_rules_whose_head_clashes_with_the_goal(data):
+    if data.draw(st.booleans()):
+        theory, goals = make_case(random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1))))
+        agents = list(goals)
+        atoms = [*goals.values(), atom("can", "X", "goal_a1"), atom("can", "a2", "Y"), atom("can", "X", "Y")]
+    else:
+        theory, _, goal = data.draw(shape_theories())
+        agents = AGENTS
+        atoms = [goal.atom(), atom("can", "a", "go"), atom("can", "X", "go"), atom("can", "b", "Y")]
+    agent, goal_atom = data.draw(st.sampled_from(agents)), data.draw(st.sampled_from(atoms))
+    assert plan_options(theory, agent, goal_atom) == _plan_options_binding_every_head(theory, agent, goal_atom)
+
+
+def _reduction_binding_every_literal(self, goal, subst, depth):
+    """`_Search._solve_reduction` without its constant-clash check: every candidate body literal goes through `_bind`."""
+    reduction = self.theory.principles.get(GeneralKind.REDUCTION)
+    if reduction is None or type(goal.owner) is not Constant:
+        return
+    inner = goal.atom()
+    for head, lits, tag, charged in self._candidate_rules(inner):
+        for b in lits:
+            fresh = logic._Fresh(tag)
+            s = logic._bind(b, inner, subst, fresh)
+            if s is None:
+                continue
+            head_goal = Literal(head.predicate, logic._fresh(head, fresh).args, True, Modality.INT, goal.owner)
+            for s2, prem in self.solve(head_goal, s, depth - 1):
+                yield s2, prem | {*charged, reduction.label}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(intention_theories(), shape_theories().map(lambda case: (case[0], case[2]))))
+def test_reduction_skips_only_body_literals_that_clash_with_the_goal(case):
+    theory, goal = case
+    got = _outcome(theory, goal)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logic._Search, "_solve_reduction", _reduction_binding_every_literal)
+        want = _outcome(theory, goal)
+    assert got == want
 
 
 def test_literal_owner_checks_keep_their_messages():

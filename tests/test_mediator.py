@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -226,6 +227,16 @@ class TestMediate:
             mediate([a, a], s.mediator)
         with pytest.raises(ValueError, match="agent ids must be distinct"):
             Mediation([a, replace(s.agents[1], id=a.id)], s.mediator)
+
+    def test_mediator_resources_are_range_checked_and_sorted(self):
+        m = load_scenario("home_improvement").mediator
+        with pytest.raises(ValueError, match=r"^resource value out of \[0, 1\]: zz=5$"):
+            replace(m, resources=(("zz", Fraction(5)),))
+        with pytest.raises(ValueError, match=r"^resource value out of \[0, 1\]: screwdriver=-1/2$"):
+            replace(m, resources=(("screwdriver", Fraction(-1, 2)),))
+        unsorted = (("zz", Fraction(1)), ("screwdriver", Fraction(0)), ("awl", Fraction(1)))
+        want = (("screwdriver", Fraction(0)), ("awl", Fraction(1)), ("zz", Fraction(1)))
+        assert replace(m, resources=unsorted).resources == want
 
 
 def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
