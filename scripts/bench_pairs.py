@@ -3,16 +3,21 @@
 Run from anywhere:
 
     python3 scripts/bench_pairs.py BEFORE AFTER --workload oracle --pairs 6 --seconds 4
+    python3 scripts/bench_pairs.py BEFORE AFTER --workload shipped --workload oracle --pairs 1 --seconds 1
 
 BEFORE and AFTER are checkout directories. Each pair runs
 `bench/run.py --workload W --seed S --seconds T` once in each checkout,
 one after the other; the side that goes first alternates from pair to pair,
 so a machine that speeds up or slows down during the pairs favours neither.
-For every end-to-end metric that `BENCHMARK.json` (in this checkout) names,
-it prints each side's median and quartiles, the ratio of the medians
-(after / before) and the number of pairs AFTER won, by the metric's
-direction; ties count for neither side. It exits 1 when a run fails or
-reports an incorrect output.
+`--workload` may be given more than once; the workloads run one after the
+other, and each gets its own block of output. For every end-to-end metric
+that `BENCHMARK.json` (in this checkout) names, a block prints each side's
+median and quartiles, the ratio of the medians (after / before) and the
+number of pairs AFTER won, by the metric's direction; ties count for
+neither side. A metric whose AFTER median is worse than the BEFORE median
+by more than the metric's `bound` in `BENCHMARK.json` is marked
+`WORSE BEYOND BOUND`; the mark does not change the exit code. It exits 1
+when a run fails or reports an incorrect output.
 """
 
 from __future__ import annotations
@@ -45,24 +50,21 @@ def summary(values: list[float]) -> str:
     return f"{q2:.5g} [{q1:.5g}, {q3:.5g}]"
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("before", type=Path)
-    parser.add_argument("after", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=4.0)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+def beyond_bound(before: float, after: float, metric: dict) -> bool:
+    """Whether `after` is worse than `before` by more than the metric's relative bound."""
+    change = (after - before) / before if before else 0.0
+    return (change if metric["better"] == "lower" else -change) > metric["bound"]
 
+
+def report(args, workload: str, metrics: list[dict]) -> None:
+    """Run the pairs of one workload and print its block."""
     sides: dict[str, list[dict]] = {"before": [], "after": []}
     for n in range(args.pairs):
         order = ("before", "after") if n % 2 == 0 else ("after", "before")
         for side in order:
-            sides[side].append(run(getattr(args, side), args.workload, args.seed, args.seconds))
+            sides[side].append(run(getattr(args, side), workload, args.seed, args.seconds))
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pair(s) of {args.seconds:g} s: {args.before} -> {args.after}")
+    print(f"{workload} seed {args.seed}, {args.pairs} pair(s) of {args.seconds:g} s: {args.before} -> {args.after}")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         before = [r["metrics"][name]["value"] for r in sides["before"]]
@@ -70,10 +72,28 @@ def main(argv: list[str]) -> int:
         won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
         b, a = statistics.median(before), statistics.median(after)
         ratio = f"{a / b:.4f}" if b else "-"
-        print(f"{name} ({m['unit']}): {summary(before)} -> {summary(after)}, ratio {ratio}, won {won}/{args.pairs}")
+        mark = f", WORSE BEYOND BOUND {m['bound']:g}" if beyond_bound(b, a, m) else ""
+        print(f"{name} ({m['unit']}): {summary(before)} -> {summary(after)}, ratio {ratio}, won {won}/{args.pairs}"
+              f"{mark}")
     for side, runs in sides.items():
         failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
         print(f"failed_share {side}: {failed / attempted if attempted else 0:.4f} ({failed} of {attempted} ops)")
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("before", type=Path)
+    parser.add_argument("after", type=Path)
+    parser.add_argument("--workload", action="append", required=True, help="may be given more than once")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=4.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for n, workload in enumerate(args.workload):
+        if n:
+            print()
+        report(args, workload, metrics)
     return 0
 
 

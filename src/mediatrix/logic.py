@@ -116,20 +116,22 @@ def _fresh(lit: Literal, fresh: dict[str, Term]) -> Literal:
     return _new(Literal, (lit.predicate, args, lit.positive, lit.modality, owner))
 
 
-def _bind(lit: Literal, goal: Literal, subst: Substitution, fresh: _Fresh) -> Optional[Substitution]:
-    """`unify(goal, lit renamed apart with fresh.tag, subst)`, renaming only what stays unbound.
+def _bind(lit: Literal, goal: Literal, subst: Substitution, fresh: dict[str, Term], tag: int) -> Optional[Substitution]:
+    """`unify(goal, lit renamed apart with tag, subst)`, renaming only what stays unbound.
 
     `lit` has the goal's shape. A rule variable takes the goal's constant at its first occurrence,
     or binds the goal's variable to its fresh name as `unify` would; later occurrences unify with
-    what it took. `fresh` then instantiates the rule's other literals; a failure leaves it half filled.
+    what it took. `fresh` records what each variable took, and a `_Fresh(tag)` map then instantiates
+    the rule's other literals; a failure leaves it half filled.
     """
     pairs = zip(lit.args, goal.args) if lit.owner is None else zip((lit.owner, *lit.args), (goal.owner, *goal.args))
     for h, g in pairs:
-        g = subst.resolve(g)
+        if type(g) is Variable:
+            g = subst.resolve(g)
         if type(h) is Variable:
             if h.name not in fresh:
                 if type(g) is Variable:
-                    subst = subst.bind(g, fresh[h.name])
+                    subst = subst.bind(g, fresh.setdefault(h.name, Variable(f"{h.name}'{tag}")))
                 else:
                     fresh[h.name] = g
                 continue
@@ -587,7 +589,7 @@ class _Search:
                         break  # no renaming mends a constant clash
                 else:
                     fresh = _Fresh(tag)
-                    s = _bind(b, inner, subst, fresh)
+                    s = _bind(b, inner, subst, fresh, tag)
                 if s is None:
                     continue
                 head_goal = _new(Literal, (head.predicate, _fresh(head, fresh).args, True, Modality.INT, owner))
@@ -700,8 +702,8 @@ class PlanOption(NamedTuple):
     """A rule instance concluding a goal, read against one agent's ownership."""
 
     label: str
-    needed: tuple[str, ...]  # resources of the agent's have/2 preconditions, body order
-    missing: tuple[Literal, ...]  # other preconditions that are not ground facts
+    needed: tuple[str, ...]  # resources of the agent's have/2 preconditions, each once, body order
+    missing: tuple[Literal, ...]  # other preconditions that are not ground facts, each once
     open_resource: bool  # some have(agent, V) precondition has a variable resource
 
     @property
@@ -709,8 +711,19 @@ class PlanOption(NamedTuple):
         return not self.missing and not self.open_resource
 
 
+def _read(t: Term, fresh: dict[str, Term]) -> Term:
+    """A body term under a head's binding; a variable the head leaves unbound gets its fresh name `V'0`."""
+    return t if type(t) is Constant else fresh.get(t.name) or Variable(f"{t.name}'0")
+
+
 def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
-    """Rule instances concluding the goal atom, in declaration order, duplicates dropped."""
+    """Rule instances concluding the goal atom, in declaration order, duplicates dropped.
+
+    The head is bound to the goal in place (`_bind` with tag 0) and each precondition's terms are
+    read through that binding: a `have/2` whose first term is the agent gives only its resource,
+    and a literal is built only for another precondition, to look it up as a fact. A repeated
+    precondition counts once.
+    """
     me = Constant(agent)
     out, seen = [], set()
     for _, label, rule in theory.index.heads.get(shape(goal_atom), ()):
@@ -718,34 +731,39 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
         if key in seen:
             continue
         seen.add(key)
-        s = None
-        for h, g in zip(rule.head.args, goal_atom.args):
-            if h is not g and type(h) is Constant and type(g) is Constant:
-                break  # no renaming mends a constant clash
-        else:
-            fresh = _Fresh(0)
-            s = _bind(rule.head, goal_atom, EMPTY_SUBSTITUTION, fresh)
+        fresh: dict[str, Term] = {}
+        s = _bind(rule.head, goal_atom, EMPTY_SUBSTITUTION, fresh, 0)
         if s is None:
             continue
-        body = [_fresh(b, fresh) for b in rule.body]
+        if s is not EMPTY_SUBSTITUTION:  # a goal variable was bound: read each head variable through it
+            fresh = {name: s.resolve(t) for name, t in fresh.items()}
         needed, missing, open_resource = [], [], False
-        for p in map(s.apply, body) if s else body:  # a ground goal binds no variable
-            if p.predicate == OWNS and len(p.args) == 2 and p.args[0] == me:
-                if isinstance(p.args[1], Constant):
-                    needed.append(p.args[1].symbol)
-                else:
+        for b in rule.body:
+            args = b.args
+            if b.predicate == OWNS and len(args) == 2 and _read(args[0], fresh) is me:
+                resource = _read(args[1], fresh)
+                if type(resource) is not Constant:
                     open_resource = True
-            elif not (p.is_ground() and theory.has_fact(p)):
+                elif resource.symbol not in needed:
+                    needed.append(resource.symbol)
+                continue
+            owner = b.owner if b.owner is None else _read(b.owner, fresh)
+            p = _new(Literal, (b.predicate, tuple([_read(a, fresh) for a in args]), b.positive, b.modality, owner))
+            if not (p.is_ground() and theory.has_fact(p)) and p not in missing:
                 missing.append(p)
         out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
     return out
 
 
-def ranked_plans(theory: Theory, agent: str, goal_atom: Literal, met: set[str]) -> list[PlanOption]:
-    """The grounded plan options for the goal, best first: fewest needed resources not in `met`, then label."""
-    options = [o for o in plan_options(theory, agent, goal_atom) if o.grounded]
-    options.sort(key=lambda o: (sum(r not in met for r in o.needed), o.label))
-    return options
+def ranked_plans(theory: Theory, agent: str, goal_atom: Literal, met: set[str]) -> list[tuple[PlanOption, tuple]]:
+    """The grounded plan options for the goal, each with its unmet resources, best first.
+
+    A needed resource is unmet when it is not in `met`; fewest unmet ranks first, then label.
+    """
+    options = plan_options(theory, agent, goal_atom)
+    ranked = [(o, tuple([r for r in o.needed if r not in met])) for o in options if o.grounded]
+    ranked.sort(key=lambda pair: (len(pair[1]), pair[0].label))
+    return ranked
 
 
 def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, str, set[str], bool]]:
@@ -762,7 +780,8 @@ def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, str, set[str]
     for goal_label, goal_fact in base_goals(theory, agent):
         options = ranked_plans(theory, agent, goal_fact.atom(), met)
         if options:
-            return goal_label, options[0].label, set(options[0].needed), len(options) > 1
+            best = options[0][0]
+            return goal_label, best.label, set(best.needed), len(options) > 1
     return None
 
 

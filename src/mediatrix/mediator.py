@@ -139,10 +139,7 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
 
 
 def _plans_for(gamma: Theory, agent: str, goal_atom: Literal, owned: set[str]) -> list[MediatorPlan]:
-    return [
-        MediatorPlan(agent, o.label, o.needed, tuple(r for r in o.needed if r not in owned))
-        for o in ranked_plans(gamma, agent, goal_atom, owned)
-    ]
+    return [MediatorPlan(agent, o.label, o.needed, unmet) for o, unmet in ranked_plans(gamma, agent, goal_atom, owned)]
 
 
 def _blocked_transfers(gamma: Theory) -> set[GiveAction]:
@@ -175,9 +172,10 @@ def create_solution(
     per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
     if any(not plans for plans in per_agent):
         return None
+    # each agent that is not generous, with where its plan stands in an assignment: its plan's needs block a transfer
+    keeps = {a: i for i, a in enumerate(agents) if generosity(gamma.general, a) is None}
 
     for assignment in itertools.product(*per_agent):
-        needed = {p.agent: set(p.needed) for p in assignment}
         transfers: list[GiveAction] = []
         taken: set[str] = set()
         feasible = True
@@ -187,7 +185,7 @@ def create_solution(
                 if donor is None or donor == p.agent or res in taken:
                     feasible = False
                     break
-                if res in needed.get(donor, ()) and generosity(gamma.general, donor) is None:
+                if donor in keeps and res in assignment[keeps[donor]].needed:
                     feasible = False
                     break
                 give = GiveAction(donor, p.agent, res)

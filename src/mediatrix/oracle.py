@@ -67,9 +67,10 @@ def brute_force_candidates(
                 provable[give] = False
         return provable[give]
 
+    # the donors whose own plan's needs may block a transfer: the agents that are not generous
+    keeps = {a: i for i, a in enumerate(agents) if generosity(gamma.general, a) is None}
     out: list[Candidate] = []
     for assignment in itertools.product(*per_agent):
-        needed = {p.agent: set(p.needed) for p in assignment}
         transfers: set[GiveAction] = set()
         ok = True
         for p in assignment:
@@ -78,7 +79,7 @@ def brute_force_candidates(
                 if donor is None or donor == p.agent:
                     ok = False
                     break
-                if res in needed.get(donor, ()) and generosity(gamma.general, donor) is None:
+                if donor in keeps and res in assignment[keeps[donor]].needed:
                     ok = False
                     break
                 give = GiveAction(donor, p.agent, res)

@@ -26,6 +26,7 @@ from mediatrix.lang import (
     atom,
     intends,
     may_unify,
+    modal,
     shape,
     unify,
 )
@@ -628,21 +629,26 @@ class TestOwnershipView:
 
 
 class TestPlanOptions:
-    def test_duplicated_ownership_precondition_counts_twice(self):
+    def test_duplicated_ownership_precondition_counts_once(self):
         beliefs = [
             ("d1", rule("d1", atom("can", "X", "go"), atom("have", "X", "r"), atom("have", "X", "r"))),
             ("d2", rule("d2", atom("can", "X", "go"), atom("have", "X", "s"))),
         ]
         theory = Theory(beliefs + [GOAL])
         goal = atom("can", "a", "go")
-        assert [o.needed for o in plan_options(theory, "a", goal)] == [("r", "r"), ("s",)]
+        assert [o.needed for o in plan_options(theory, "a", goal)] == [("r",), ("s",)]
+        # one unmet resource each: d1 ties d2 and wins on label
         assert [(p.rule_label, p.unmet) for p in _plans_for(theory, "a", goal, set())] == [
+            ("d1", ("r",)),
             ("d2", ("s",)),
-            ("d1", ("r", "r")),
         ]
-        assert select_plan(theory, "a")[1] == "d2"
+        assert select_plan(theory, "a")[1] == "d1"
         plans = plan(_agent(beliefs), intends("a", goal))
-        assert [(p.rule_label, len(p.unmet)) for p in plans] == [("d2", 1), ("d1", 2)]
+        assert [(p.rule_label, len(p.unmet)) for p in plans] == [("d1", 1), ("d2", 1)]
+
+    def test_duplicated_missing_precondition_is_listed_once(self):
+        theory = Theory([("d1", rule("d1", atom("can", "X", "go"), atom("tool", "X"), atom("tool", "X"))), GOAL])
+        assert plan_options(theory, "a", atom("can", "a", "go")) == [PlanOption("d1", (), (atom("tool", "a"),), False)]
 
     def test_missing_precondition_is_unmet_for_the_agent_and_drops_the_plan_for_others(self):
         beliefs = [
@@ -728,43 +734,77 @@ def plan_options_by_unification(theory: Theory, agent: str, goal_atom: Literal) 
                     open_resource = True
             elif not (p.is_ground() and theory.has_fact(p)):
                 missing.append(p)
-        out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
+        # a repeated precondition counts once, at its first occurrence
+        out.append(PlanOption(label, tuple(dict.fromkeys(needed)), tuple(dict.fromkeys(missing)), open_resource))
     return out
 
 
 PLAN_CONSTANTS = ["a", "b", "go"]
 HEAD_TERMS = st.sampled_from(["X", "Y", *PLAN_CONSTANTS])  # a repeated variable recurs often
 BODY_TERMS = st.sampled_from(["X", "Y", "Z", "W", "a", "b", "r"])  # Z and W occur in bodies only
+PLAIN_BODIES = st.builds(
+    lambda predicate, terms: atom(predicate, *terms),
+    st.sampled_from(["have", "tool"]),
+    st.lists(BODY_TERMS, min_size=1, max_size=2),
+)
+# preconditions with a have/2 that is negated or modal, and a 3-ary have
+HAVE_BODIES = st.one_of(
+    st.builds(lambda x, z: atom("have", x, z).complement(), BODY_TERMS, BODY_TERMS),
+    st.builds(
+        lambda m, owner, x, z: modal(m, owner, atom("have", x, z)),
+        st.sampled_from([Modality.BEL, Modality.INT]),
+        BODY_TERMS,
+        BODY_TERMS,
+        BODY_TERMS,
+    ),
+    st.builds(lambda x, z, y: atom("have", x, z, y), BODY_TERMS, BODY_TERMS, BODY_TERMS),
+)
+PLAIN_FACTS = st.builds(atom, st.sampled_from(["have", "tool"]), st.sampled_from(PLAN_CONSTANTS), st.sampled_from(["a", "r"]))
+HAVE_FACTS = st.sampled_from(
+    [atom("have", "b", "r").complement(), modal(Modality.BEL, "a", atom("have", "b", "r")), atom("have", "a", "r", "b")]
+)
 
 
 @st.composite
-def plans_and_goals(draw):
-    """A theory of rules concluding one head shape, its facts, and a ground goal of that shape."""
+def plans_and_goals(draw, wide: bool = False):
+    """A theory of rules concluding one head shape, its facts, and a goal of that shape.
+
+    The goal is ground and the bodies are plain `have` and `tool` literals, unless `wide`: then a
+    goal term may be a variable (`X`, a name the rules use too, or `G`), and a body may hold a
+    negated or modal `have/2` or a 3-ary `have`, with facts of those shapes.
+    """
     arity = draw(st.integers(min_value=1, max_value=3))
-    modal = draw(st.booleans())  # an owner is one more head position to match
+    modal_head = draw(st.booleans())  # an owner is one more head position to match
+    bodies = st.one_of(PLAIN_BODIES, HAVE_BODIES) if wide else PLAIN_BODIES
+    goal_terms = st.sampled_from([*PLAN_CONSTANTS, "X", "G"] if wide else PLAN_CONSTANTS)
     rules = []
     for n in range(draw(st.integers(min_value=1, max_value=4))):
         head = atom("can", *draw(st.lists(HEAD_TERMS, min_size=arity, max_size=arity)))
-        if modal:
+        if modal_head:
             head = intends(draw(HEAD_TERMS), head)
-        body = [
-            atom(draw(st.sampled_from(["have", "tool"])), *draw(st.lists(BODY_TERMS, min_size=1, max_size=2)))
-            for _ in range(draw(st.integers(min_value=0, max_value=3)))
-        ]
+        body = draw(st.lists(bodies, max_size=3))
+        body += draw(st.lists(st.sampled_from(body), max_size=2)) if body else []  # a precondition repeated
         covered = {v for b in body for v in b.variables()}
         body += [atom("have", "a", v) for v in sorted(head.variables() - covered)]  # range-restricted
         rules.append((f"d{n}", rule(f"d{n}", head, *body)))
-    fact = st.builds(atom, st.sampled_from(["have", "tool"]), st.sampled_from(PLAN_CONSTANTS), st.sampled_from(["a", "r"]))
+    fact = st.one_of(PLAIN_FACTS, HAVE_FACTS) if wide else PLAIN_FACTS
     facts = [(f"f{i}", f) for i, f in enumerate(draw(st.lists(fact, max_size=3, unique=True)))]
-    goal = atom("can", *draw(st.lists(st.sampled_from(PLAN_CONSTANTS), min_size=arity, max_size=arity)))
-    if modal:
-        goal = intends(draw(st.sampled_from(PLAN_CONSTANTS)), goal)
+    goal = atom("can", *draw(st.lists(goal_terms, min_size=arity, max_size=arity)))
+    if modal_head:
+        goal = intends(draw(goal_terms), goal)
     return Theory(draw(st.permutations(rules + facts))), goal
 
 
 @settings(max_examples=300)
 @given(plans_and_goals(), st.sampled_from(["a", "b"]))
 def test_plan_options_of_a_ground_goal_equal_those_found_by_unification(case, agent):
+    theory, goal = case
+    assert plan_options(theory, agent, goal) == plan_options_by_unification(theory, agent, goal)
+
+
+@settings(max_examples=300)
+@given(plans_and_goals(wide=True), st.sampled_from(["a", "b"]))
+def test_plan_options_of_any_goal_and_any_have_literal_equal_those_found_by_unification(case, agent):
     theory, goal = case
     assert plan_options(theory, agent, goal) == plan_options_by_unification(theory, agent, goal)
 
@@ -1263,7 +1303,7 @@ def test_bind_is_unify_with_the_rule_renamed_apart(case, subst, tag):
     renamed = _replace_rename(r, tag)
     want = unify(goal, (renamed.head, *renamed.body)[at], subst)
     fresh = logic._Fresh(tag)
-    got = logic._bind((r.head, *r.body)[at], goal, subst, fresh)
+    got = logic._bind((r.head, *r.body)[at], goal, subst, fresh, tag)
     assert (got is None) == (want is None)
     if got is not None:
         assert got.apply(goal) == want.apply(goal)
@@ -1271,10 +1311,10 @@ def test_bind_is_unify_with_the_rule_renamed_apart(case, subst, tag):
             assert got.apply(logic._fresh(mine, fresh)) == want.apply(theirs)
 
 
-def _bind_by_renaming(lit: Literal, goal: Literal, subst: Substitution, fresh) -> Optional[Substitution]:
+def _bind_by_renaming(lit: Literal, goal: Literal, subst: Substitution, fresh, tag: int) -> Optional[Substitution]:
     """The unifier `_bind` stands for: name every variable of the literal apart, then unify."""
     for name in sorted(lit.variables()):
-        fresh[name] = Variable(f"{name}'{fresh.tag}")
+        fresh[name] = Variable(f"{name}'{tag}")
     return unify(goal, logic._fresh(lit, fresh), subst)
 
 
@@ -1460,8 +1500,8 @@ def test_every_view_of_a_derived_theory_is_the_view_of_its_entries(case, data):
         assert _view_of(theory, "positive_stratum") == saturated
 
 
-def _plan_options_binding_every_head(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
-    """`plan_options` without its constant-clash check: every rule head of the goal's shape goes through `_bind`."""
+def _plan_options_by_instantiation(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
+    """`plan_options` the copying way: bind each head with a `_Fresh(0)` map, then build every body literal."""
     me = Constant(agent)
     out, seen = [], set()
     for _, label, r in theory.index.heads.get(shape(goal_atom), ()):
@@ -1469,7 +1509,7 @@ def _plan_options_binding_every_head(theory: Theory, agent: str, goal_atom: Lite
             continue
         seen.add(r.canonical())
         fresh = logic._Fresh(0)
-        s = logic._bind(r.head, goal_atom, EMPTY_SUBSTITUTION, fresh)
+        s = logic._bind(r.head, goal_atom, EMPTY_SUBSTITUTION, fresh, 0)
         if s is None:
             continue
         needed, missing, open_resource = [], [], False
@@ -1481,13 +1521,13 @@ def _plan_options_binding_every_head(theory: Theory, agent: str, goal_atom: Lite
                     open_resource = True
             elif not (p.is_ground() and theory.has_fact(p)):
                 missing.append(p)
-        out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
+        out.append(PlanOption(label, tuple(dict.fromkeys(needed)), tuple(dict.fromkeys(missing)), open_resource))
     return out
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_plan_options_skips_only_rules_whose_head_clashes_with_the_goal(data):
+def test_plan_options_equal_those_read_from_instantiated_bodies(data):
     if data.draw(st.booleans()):
         theory, goals = make_case(random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1))))
         agents = list(goals)
@@ -1497,7 +1537,7 @@ def test_plan_options_skips_only_rules_whose_head_clashes_with_the_goal(data):
         agents = AGENTS
         atoms = [goal.atom(), atom("can", "a", "go"), atom("can", "X", "go"), atom("can", "b", "Y")]
     agent, goal_atom = data.draw(st.sampled_from(agents)), data.draw(st.sampled_from(atoms))
-    assert plan_options(theory, agent, goal_atom) == _plan_options_binding_every_head(theory, agent, goal_atom)
+    assert plan_options(theory, agent, goal_atom) == _plan_options_by_instantiation(theory, agent, goal_atom)
 
 
 def _reduction_binding_every_literal(self, goal, subst, depth):
@@ -1509,7 +1549,7 @@ def _reduction_binding_every_literal(self, goal, subst, depth):
     for head, lits, tag, charged in self._candidate_rules(inner):
         for b in lits:
             fresh = logic._Fresh(tag)
-            s = logic._bind(b, inner, subst, fresh)
+            s = logic._bind(b, inner, subst, fresh, tag)
             if s is None:
                 continue
             head_goal = Literal(head.predicate, logic._fresh(head, fresh).args, True, Modality.INT, goal.owner)

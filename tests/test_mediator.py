@@ -254,6 +254,45 @@ def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
     assert sorted(proved) == sorted(str(t.intention(t.receiver)) for t in transfers)
 
 
+def test_certify_calls_the_planner_through_the_oracle_module_name_once(monkeypatch):
+    # the benchmark's oracle check captures the planner's solution by replacing this name
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return create_solution(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "create_solution", counting)
+    assert oracle.certify(load_scenario("two_donor")) == []
+    assert len(calls) == 1
+
+
+# `a`'s only plan states `have(X, r)` twice; `b` is generous, holds `r` and
+# needs only `s`, so one transfer of `r` serves the plan
+REPEATED_PRECONDITION = b"""agent a; agent b; mediator m;
+general G.1 ownership; general G.2 reduction; general G.3 generosity(b); general G.4 unicity;
+general G.5 benevolence; general G.6 parsimony; general G.7 unique_choice;
+[a.1] int a: can(a, go).
+[a.2] bel a: can(X, go) :- have(X, r), have(X, r).
+[b.1] int b: can(b, stay).
+[b.2] bel b: can(X, stay) :- have(X, s).
+[b.3] bel b: have(b, r).
+[b.4] bel b: have(b, s).
+resource b r = 1;
+resource b s = 1;
+"""
+
+
+def test_a_repeated_precondition_is_one_transfer():
+    s = parse_scenario(REPEATED_PRECONDITION)
+    out = mediate(list(s.agents), s.mediator, s.config, s.name)
+    assert out.status == "success"
+    assert out.solution.transfers == (GiveAction("b", "a", "r"),)
+    assert oracle.certify(s) == []
+    gamma, goals = oracle.full_disclosure(s)
+    assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals)] == [frozenset(out.solution.transfers)]
+
+
 # a mediator case fact names a goal of `a` that `a` never declares, and `a`
 # intends a belief of `b`
 PROBE = b"""agent a; agent b; mediator m;

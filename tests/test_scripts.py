@@ -1,0 +1,24 @@
+"""Checks of the benchmark scripts' own arithmetic, without running the benchmark."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_marks_only_a_change_worse_than_the_bound():
+    beyond = _load("bench_pairs").beyond_bound
+    lower = {"better": "lower", "bound": 0.25}
+    higher = {"better": "higher", "bound": 0.05}
+    assert beyond(1.0, 1.3, lower) and not beyond(1.0, 1.2, lower) and not beyond(1.0, 0.5, lower)
+    assert beyond(100.0, 94.0, higher) and not beyond(100.0, 96.0, higher) and not beyond(100.0, 200.0, higher)
+    assert not beyond(0.0, 1.0, lower)
