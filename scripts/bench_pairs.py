@@ -16,8 +16,10 @@ median and quartiles, the ratio of the medians (after / before) and the
 number of pairs AFTER won, by the metric's direction; ties count for
 neither side. A metric whose AFTER median is worse than the BEFORE median
 by more than the metric's `bound` in `BENCHMARK.json` is marked
-`WORSE BEYOND BOUND`; the mark does not change the exit code. It exits 1
-when a run fails or reports an incorrect output.
+`WORSE BEYOND BOUND`, and a metric whose two medians differ by less than
+the distance between the BEFORE runs' quartiles is marked `within spread`:
+that run cannot tell the two sides apart. Neither mark changes the exit
+code. It exits 1 when a run fails or reports an incorrect output.
 """
 
 from __future__ import annotations
@@ -44,10 +46,21 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The lower quartile, the median and the upper quartile; one value is all three."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def summary(values: list[float]) -> str:
     """The median and, in brackets, the quartiles."""
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.5g} [{q1:.5g}, {q3:.5g}]"
+
+
+def within_spread(before: list[float], after: list[float]) -> bool:
+    """Whether the two medians differ by less than the distance between the BEFORE runs' quartiles."""
+    q1, median, q3 = quartiles(before)
+    return abs(quartiles(after)[1] - median) < q3 - q1
 
 
 def beyond_bound(before: float, after: float, metric: dict) -> bool:
@@ -73,6 +86,7 @@ def report(args, workload: str, metrics: list[dict]) -> None:
         b, a = statistics.median(before), statistics.median(after)
         ratio = f"{a / b:.4f}" if b else "-"
         mark = f", WORSE BEYOND BOUND {m['bound']:g}" if beyond_bound(b, a, m) else ""
+        mark += ", within spread" if within_spread(before, after) else ""
         print(f"{name} ({m['unit']}): {summary(before)} -> {summary(after)}, ratio {ratio}, won {won}/{args.pairs}"
               f"{mark}")
     for side, runs in sides.items():

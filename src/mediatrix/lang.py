@@ -224,13 +224,3 @@ def unify(a: Literal, b: Literal, subst: Optional[Substitution] = None) -> Optio
         if s is None:
             return None
     return s
-
-
-def may_unify(a: Literal, b: Literal) -> bool:
-    """False when a position holds two distinct constants, so no renaming unifies them.
-    Its one caller, `logic._Search.solve`, passes rule heads of the goal's own shape; a False
-    answer is sound whether or not the shapes are equal."""
-    for x, y in zip((a.owner, *a.args), (b.owner, *b.args)):
-        if type(x) is Constant and type(y) is Constant and x is not y:
-            return False
-    return True

@@ -23,7 +23,6 @@ from .lang import (
     Variable,
     _new,
     is_var,
-    may_unify,
     shape,
     unify,
 )
@@ -505,8 +504,6 @@ class _Search:
         for ordinal, label, r in self.index.heads.get(key, ()):
             self._tag += ordinal - passed + 1
             passed = ordinal + 1
-            if not may_unify(goal, r.head):  # no renaming mends a constant clash
-                continue
             r = r.rename(self._tag)
             s = unify(goal, r.head, subst)
             if s is None:
@@ -702,13 +699,20 @@ class PlanOption(NamedTuple):
     """A rule instance concluding a goal, read against one agent's ownership."""
 
     label: str
-    needed: tuple[str, ...]  # resources of the agent's have/2 preconditions, each once, body order
+    needed: tuple[str, ...]  # resources of the agent's positive plain have/2 preconditions, each once, body order
     missing: tuple[Literal, ...]  # other preconditions that are not ground facts, each once
     open_resource: bool  # some have(agent, V) precondition has a variable resource
 
     @property
     def grounded(self) -> bool:
         return not self.missing and not self.open_resource
+
+
+class MediatorPlan(NamedTuple):  # one agent's plan for its goal, as the planner assigns it
+    agent: str
+    rule_label: str
+    needed: tuple[str, ...]  # resources the agent must hold for the plan
+    unmet: tuple[str, ...]   # needed resources the agent does not hold yet
 
 
 def _read(t: Term, fresh: dict[str, Term]) -> Term:
@@ -720,9 +724,9 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     """Rule instances concluding the goal atom, in declaration order, duplicates dropped.
 
     The head is bound to the goal in place (`_bind` with tag 0) and each precondition's terms are
-    read through that binding: a `have/2` whose first term is the agent gives only its resource,
-    and a literal is built only for another precondition, to look it up as a fact. A repeated
-    precondition counts once.
+    read through that binding: a positive plain `have/2` whose first term is the agent gives only
+    its resource, and a literal is built only for another precondition, to look it up as a fact.
+    A repeated precondition counts once.
     """
     me = Constant(agent)
     out, seen = [], set()
@@ -740,7 +744,8 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
         needed, missing, open_resource = [], [], False
         for b in rule.body:
             args = b.args
-            if b.predicate == OWNS and len(args) == 2 and _read(args[0], fresh) is me:
+            plain_have = b.predicate == OWNS and len(args) == 2 and b.positive and b.owner is None
+            if plain_have and _read(args[0], fresh) is me:
                 resource = _read(args[1], fresh)
                 if type(resource) is not Constant:
                     open_resource = True
@@ -755,14 +760,17 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     return out
 
 
-def ranked_plans(theory: Theory, agent: str, goal_atom: Literal, met: set[str]) -> list[tuple[PlanOption, tuple]]:
-    """The grounded plan options for the goal, each with its unmet resources, best first.
+def ranked_plans(theory: Theory, agent: str, goal_atom: Literal, met: set[str]) -> list[MediatorPlan]:
+    """The agent's grounded plan options for the goal as plan records, best first.
 
     A needed resource is unmet when it is not in `met`; fewest unmet ranks first, then label.
     """
-    options = plan_options(theory, agent, goal_atom)
-    ranked = [(o, tuple([r for r in o.needed if r not in met])) for o in options if o.grounded]
-    ranked.sort(key=lambda pair: (len(pair[1]), pair[0].label))
+    ranked = [
+        MediatorPlan(agent, o.label, o.needed, tuple([r for r in o.needed if r not in met]))
+        for o in plan_options(theory, agent, goal_atom)
+        if o.grounded
+    ]
+    ranked.sort(key=lambda p: (len(p.unmet), p.rule_label))
     return ranked
 
 
@@ -780,8 +788,8 @@ def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, str, set[str]
     for goal_label, goal_fact in base_goals(theory, agent):
         options = ranked_plans(theory, agent, goal_fact.atom(), met)
         if options:
-            best = options[0][0]
-            return goal_label, best.label, set(best.needed), len(options) > 1
+            best = options[0]
+            return goal_label, best.rule_label, set(best.needed), len(options) > 1
     return None
 
 

@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from . import transcript as tr
 from .agent import (
@@ -43,6 +43,7 @@ from .logic import (
     GIVE_REFUSED,
     Entry,
     GeneralRule,
+    MediatorPlan,
     Theory,
     base_goals,
     believed_ownership,
@@ -70,13 +71,6 @@ class MediatorState:
 
     def __post_init__(self):
         object.__setattr__(self, "resources", ordered_resources(self.resources))
-
-
-class MediatorPlan(NamedTuple):
-    agent: str
-    rule_label: str
-    needed: tuple[str, ...]  # resources the agent must hold for the plan
-    unmet: tuple[str, ...]   # needed resources the agent does not hold yet
 
 
 @dataclass(frozen=True)
@@ -138,15 +132,6 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
 # ----------------------------------------------------------------------
 
 
-def _plans_for(gamma: Theory, agent: str, goal_atom: Literal, owned: set[str]) -> list[MediatorPlan]:
-    return [MediatorPlan(agent, o.label, o.needed, unmet) for o, unmet in ranked_plans(gamma, agent, goal_atom, owned)]
-
-
-def _blocked_transfers(gamma: Theory) -> set[GiveAction]:
-    """Transfers whose intention the theory explicitly negates."""
-    return {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}
-
-
 def create_solution(
     gamma: Theory,
     goals: dict[str, Literal],
@@ -158,18 +143,17 @@ def create_solution(
     Agents are processed by id, plans in unique-choice order, and each
     unmet precondition is satisfied by a transfer from its owner, admitted
     only when gamma declares the owner generous or the owner's own
-    assigned plan does not need the resource. The first feasible
-    assignment yields the solution; every transfer is backed by a freshly
-    constructed argument.
+    assigned plan does not need the resource, and the transfer is neither
+    excluded nor refused in gamma. The first feasible assignment yields the
+    solution; every transfer is backed by a freshly constructed argument.
     """
     if not goals:
         return None
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
-    excluded = set(exclude) | _blocked_transfers(gamma)
-
-    per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
+    excluded = set(exclude) | {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}
+    per_agent = [ranked_plans(gamma, a, goals[a], owned[a]) for a in agents]
     if any(not plans for plans in per_agent):
         return None
     # each agent that is not generous, with where its plan stands in an assignment: its plan's needs block a transfer
@@ -266,7 +250,7 @@ class Mediation:
         labelled, seen = [], set()
         for item in items:
             key = entry_canonical(item)
-            if key in seen or key in self.gamma._keys and item not in self._case_goals:
+            if key in seen or self.gamma.contains(item) and item not in self._case_goals:
                 continue
             seen.add(key)
             self._label_no += 1

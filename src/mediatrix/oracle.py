@@ -15,6 +15,7 @@ from .agent import GiveAction
 from .lang import Literal
 from .logic import (
     DEFAULT_PROOF_DEPTH,
+    GIVE_REFUSED,
     DepthExceeded,
     Entry,
     Theory,
@@ -22,9 +23,11 @@ from .logic import (
     believed_ownership,
     generosity,
     goals_of,
+    ground_args,
     prove,
+    ranked_plans,
 )
-from .mediator import _blocked_transfers, _plans_for, create_solution
+from .mediator import create_solution
 from .scenario import Scenario
 
 
@@ -52,8 +55,8 @@ def brute_force_candidates(
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
-    blocked = _blocked_transfers(gamma)
-    per_agent = [_plans_for(gamma, a, goals[a], owned[a]) for a in agents]
+    blocked = {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}  # intentions gamma negates
+    per_agent = [ranked_plans(gamma, a, goals[a], owned[a]) for a in agents]
     if any(not plans for plans in per_agent):
         return []
 

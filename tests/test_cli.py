@@ -7,7 +7,8 @@ import pytest
 
 from mediatrix import oracle
 from mediatrix.cli import main
-from mediatrix.mediator import MediatorPlan, Solution, create_solution
+from mediatrix.logic import MediatorPlan
+from mediatrix.mediator import Solution, create_solution
 
 from conftest import SCENARIOS
 
@@ -65,6 +66,14 @@ class TestRun:
     def test_max_rounds_override(self, capsys):
         # one round is not enough for the case study
         assert main(["run", HOME, "--max-rounds", "1", "--verbosity", "quiet"]) == 2
+
+    @pytest.mark.parametrize("stall, rounds", [(None, 3), ("2", 4), ("3", 5)])
+    def test_stall_override_sets_the_rounds_without_news_before_failure(self, stall, rounds, capsys):
+        # the ablated case never finds a solution, and stops disclosing after round 2
+        flag = [] if stall is None else ["--stall", stall]
+        assert main(["run", ABLATED, "--format", "json", *flag]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["reason"], len(doc["rounds"])) == ("no new knowledge and no solution", rounds)
 
     def test_invalid_override_exit_one(self, capsys):
         assert main(["run", HOME, "--max-rounds", "0"]) == 1

@@ -293,6 +293,33 @@ def test_a_repeated_precondition_is_one_transfer():
     assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals)] == [frozenset(out.solution.transfers)]
 
 
+# `a`'s only plan needs `a` not to hold `r`, which `a` believes; a negated
+# `have` is an ordinary precondition, not a resource to be given
+NEGATED_HAVE = b"""agent a; agent b; mediator m;
+general G.1 ownership; general G.2 reduction; general G.3 generosity(b); general G.4 parsimony;
+[a.1] int a: can(a, go).
+[a.2] bel a: can(X, go) :- ~have(X, r).
+[a.3] bel a: ~have(a, r).
+[b.1] int b: can(b, stay).
+[b.2] bel b: can(X, stay) :- have(X, s).
+[b.3] bel b: have(b, r).
+[b.4] bel b: have(b, s).
+resource b r = 1;
+resource b s = 1;
+"""
+
+
+def test_a_negated_have_precondition_needs_no_transfer():
+    s = parse_scenario(NEGATED_HAVE)
+    out = mediate(list(s.agents), s.mediator, s.config, s.name)
+    assert (out.status, out.reason) == ("success", "both agents accepted the solution")
+    assert out.solution.transfers == ()
+    assert dict(out.transcript.final_ownership) == {"a": (), "b": ("r", "s"), "m": ()}
+    assert oracle.certify(s) == []
+    gamma, goals = oracle.full_disclosure(s)
+    assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals)] == [frozenset()]
+
+
 # a mediator case fact names a goal of `a` that `a` never declares, and `a`
 # intends a belief of `b`
 PROBE = b"""agent a; agent b; mediator m;

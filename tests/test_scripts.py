@@ -22,3 +22,12 @@ def test_bench_pairs_marks_only_a_change_worse_than_the_bound():
     assert beyond(1.0, 1.3, lower) and not beyond(1.0, 1.2, lower) and not beyond(1.0, 0.5, lower)
     assert beyond(100.0, 94.0, higher) and not beyond(100.0, 96.0, higher) and not beyond(100.0, 200.0, higher)
     assert not beyond(0.0, 1.0, lower)
+
+
+def test_bench_pairs_marks_a_difference_of_medians_inside_the_before_quartiles():
+    within = _load("bench_pairs").within_spread
+    before = [1.0, 2.0, 3.0, 4.0, 5.0]  # quartiles 2 and 4, median 3
+    assert within(before, [4.9, 4.9, 4.9]) and within(before, [1.1]) and within(before, [3.0])
+    assert not within(before, [5.0]) and not within(before, [1.0]) and not within(before, [9.0, 9.0])
+    assert within(before, [0.0, 3.5, 9.0])  # the AFTER median, not its spread, is what is compared
+    assert not within([2.0], [2.0]) and not within([2.0, 2.0], [2.1])  # no spread: nothing is inside it
