@@ -18,7 +18,9 @@ neither side. A metric whose AFTER median is worse than the BEFORE median
 by more than the metric's `bound` in `BENCHMARK.json` is marked
 `WORSE BEYOND BOUND`, and a metric whose two medians differ by less than
 the distance between the BEFORE runs' quartiles is marked `within spread`:
-that run cannot tell the two sides apart. Neither mark changes the exit
+that run cannot tell the two sides apart. A metric on which AFTER won at
+least 9 of every 10 pairs and whose medians differ by more than that
+distance is marked `clear`: the run shows a gain. No mark changes the exit
 code. It exits 1 when a run fails or reports an incorrect output.
 """
 
@@ -63,6 +65,12 @@ def within_spread(before: list[float], after: list[float]) -> bool:
     return abs(quartiles(after)[1] - median) < q3 - q1
 
 
+def clear(before: list[float], after: list[float], won: int) -> bool:
+    """Whether AFTER won at least 9 of every 10 pairs and the medians differ by more than the BEFORE quartile spread."""
+    q1, median, q3 = quartiles(before)
+    return 10 * won >= 9 * len(before) and abs(quartiles(after)[1] - median) > q3 - q1
+
+
 def beyond_bound(before: float, after: float, metric: dict) -> bool:
     """Whether `after` is worse than `before` by more than the metric's relative bound."""
     change = (after - before) / before if before else 0.0
@@ -87,6 +95,7 @@ def report(args, workload: str, metrics: list[dict]) -> None:
         ratio = f"{a / b:.4f}" if b else "-"
         mark = f", WORSE BEYOND BOUND {m['bound']:g}" if beyond_bound(b, a, m) else ""
         mark += ", within spread" if within_spread(before, after) else ""
+        mark += ", clear" if clear(before, after, won) else ""
         print(f"{name} ({m['unit']}): {summary(before)} -> {summary(after)}, ratio {ratio}, won {won}/{args.pairs}"
               f"{mark}")
     for side, runs in sides.items():

@@ -458,7 +458,19 @@ def forward_chain(theory: Theory) -> dict[Literal, None]:
 
 
 def consistent(theory: Theory) -> bool:
-    """True iff saturating the theory derives no literal together with its complement."""
+    """True iff saturating the theory derives no literal together with its complement.
+
+    Saturation holds only literals of the shapes of the theory's facts and non-fact rule heads, so
+    when no two of these shapes differ in polarity alone no clash can arise and nothing is saturated.
+    """
+    shapes = set()
+    for item in theory._entries.values():
+        if isinstance(item, Literal):
+            shapes.add(shape(item))
+        elif not item.is_fact:  # a bodiless rule derives nothing
+            shapes.add(shape(item.head))
+    if not any((modality, not positive, *rest) in shapes for modality, positive, *rest in shapes):
+        return True
     try:
         forward_chain(theory)
     except InconsistentTheory:

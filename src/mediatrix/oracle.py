@@ -47,8 +47,11 @@ def brute_force_candidates(
     transfer set is forced; admissibility mirrors the planner: the donor
     must exist, differ from the taker, be declared generous in gamma or
     not need the item for its own assigned plan, the transfer must not be
-    blocked, and a transfer-intention argument must be provable. Each
-    distinct transfer is proved at most once per call.
+    blocked, and a transfer-intention argument must be provable. What one
+    plan decides alone is screened once, before the assignments: each
+    plan's transfers are built, and a plan is dropped when one of them has
+    no donor, its own agent as donor, or is blocked. Each distinct
+    transfer is proved at most once per call.
     """
     if not goals:
         return []
@@ -56,9 +59,28 @@ def brute_force_candidates(
     owner_of = believed_ownership(gamma)
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
     blocked = {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}  # intentions gamma negates
-    per_agent = [ranked_plans(gamma, a, goals[a], owned[a]) for a in agents]
-    if any(not plans for plans in per_agent):
-        return []
+    # the donors whose own plan's needs may block a transfer: the agents that are not generous
+    keeps = {a: i for i, a in enumerate(agents) if generosity(gamma.general, a) is None}
+    # per agent, the plans that pass the screen, each with its transfers and, for each donor that keeps
+    # what its own plan needs, where that plan stands in an assignment and the resource
+    per_agent = []
+    for a in agents:
+        screened = []
+        for p in ranked_plans(gamma, a, goals[a], owned[a]):
+            gives, kept = [], []
+            for res in p.unmet:
+                donor = owner_of.get(res)
+                give = GiveAction(donor, a, res)
+                if donor is None or donor == a or give in blocked:
+                    break
+                gives.append(give)
+                if donor in keeps:
+                    kept.append((keeps[donor], res))
+            else:
+                screened.append((p, gives, kept))
+        if not screened:
+            return []
+        per_agent.append(screened)
 
     provable: dict[GiveAction, bool] = {}
 
@@ -70,32 +92,22 @@ def brute_force_candidates(
                 provable[give] = False
         return provable[give]
 
-    # the donors whose own plan's needs may block a transfer: the agents that are not generous
-    keeps = {a: i for i, a in enumerate(agents) if generosity(gamma.general, a) is None}
     out: list[Candidate] = []
     for assignment in itertools.product(*per_agent):
         transfers: set[GiveAction] = set()
+        taken: set[str] = set()
         ok = True
-        for p in assignment:
-            for res in p.unmet:
-                donor = owner_of.get(res)
-                if donor is None or donor == p.agent:
+        for _, gives, kept in assignment:
+            for i, res in kept:
+                if res in assignment[i][0].needed:  # the donor's own plan needs what it would give
                     ok = False
-                    break
-                if donor in keeps and res in assignment[keeps[donor]].needed:
+            for give in gives:
+                if give.resource in taken:  # two plans take one resource
                     ok = False
-                    break
-                give = GiveAction(donor, p.agent, res)
-                if give in blocked or any(t.resource == res for t in transfers):
-                    ok = False
-                    break
+                taken.add(give.resource)
                 transfers.add(give)
-            if not ok:
-                break
         if ok and all(is_provable(give) for give in transfers):
-            out.append(
-                Candidate(tuple((p.agent, p.rule_label) for p in assignment), frozenset(transfers))
-            )
+            out.append(Candidate(tuple((p.agent, p.rule_label) for p, _, _ in assignment), frozenset(transfers)))
     return out
 
 
@@ -138,14 +150,11 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
     case = gamma = scenario.mediator.theory
     # as in the mediation, an agent's goal that the case states moves to the end under its new label
     case_goals = {f for agent in scenario.agents for _, f in base_goals(case, agent.id)}
-    n = itertools.count(1)
-    additions: list[tuple[str, Entry]] = []
-    added: set[Entry] = set()
+    added: dict[Entry, None] = {}  # in offer order, which numbers the labels
 
     def offer(item: Entry) -> None:
-        if item not in added and (not gamma.contains(item) or item in case_goals):
-            added.add(item)
-            additions.append((f"O.{next(n)}", item))
+        if not gamma.contains(item) or item in case_goals:
+            added.setdefault(item)
 
     for agent in scenario.agents:
         for _, item in agent.unit("B").entries():
@@ -154,10 +163,10 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
             offer(agent.intention(fact))
         for _, fact in agent.have_facts():
             offer(fact)
-    moved = case_goals & added
+    moved = {f for f in case_goals if f in added}
     if moved:
         gamma = gamma.filtered(lambda l, e: e not in moved)
-    gamma = gamma.extended(additions)
+    gamma = gamma.extended((f"O.{n}", item) for n, item in enumerate(added, 1))
     return gamma, goals_of(gamma, [agent.id for agent in scenario.agents], case)
 
 

@@ -243,6 +243,11 @@ class _Parser:
             if self.accept("punct", "("):
                 owner = self.expect("ident")[1]
                 self.expect("punct", ")")
+            if (owner is None) == (kind is GeneralKind.GENEROSITY):
+                need = "must name" if owner is None else "cannot name"
+                raise ValidationError(f"general {label} {kind.value}: {need} an agent")
+            if any(g.label == label for g in self.general):
+                raise ValidationError(f"duplicate general rule label {label!r}")
             self.general.append(GeneralRule(label, kind, owner))
             self._flag_inert(word, label, kind_tok[1])
         elif word == "bridge":
@@ -438,6 +443,12 @@ class _Parser:
         for label, e in theory.facts:
             if not e.is_ground():
                 raise ValidationError(f"mediator case fact {label} must be ground")
+        units = [theory] + [unit for a in agent_states for unit in a.units.values()]
+        for g in general:
+            if g.owner is not None and g.owner not in self.participants:
+                raise ValidationError(f"general {g.label} {g.kind.value}({g.owner}): unknown participant {g.owner!r}")
+            if any(unit.lookup(g.label) is not None for unit in units):
+                raise ValidationError(f"general rule label {g.label!r} is also a formula label")
         mediator = MediatorState(m.id, theory, self._sorted_resources(m))
         return Scenario(self.name, tuple(agent_states), mediator, self.config, tuple(self.warnings))
 

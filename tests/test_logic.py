@@ -1443,6 +1443,56 @@ def test_a_goal_of_a_shape_outside_provable_shapes_has_no_proof(case):
         assert _outcome(kept, goal) in (None, DepthExceeded)
 
 
+def _saturates(theory: Theory) -> bool:
+    try:
+        forward_chain(theory)
+    except InconsistentTheory:
+        return False
+    return True
+
+
+@st.composite
+def clash_theories(draw):
+    """A theory of `stratified_theories` or `shape_theories`; in half the draws it also holds a ground
+    fact that complements the shape of one of its facts or rule heads, so that saturation is needed."""
+    theory = draw(st.one_of(stratified_theories(), shape_theories().map(lambda case: case[0])))
+    heads = [item if isinstance(item, Literal) else item.head for _, item in theory.entries()]
+    if heads and draw(st.booleans()):
+        head = draw(st.sampled_from(heads))
+        constants = st.sampled_from(STRATA_CONSTANTS + AGENTS + RESOURCES).map(Constant)
+        ground = Substitution({v: draw(constants) for v in sorted(head.variables())})
+        theory = theory.extended([("clash", ground.apply(head).complement())])
+    return theory
+
+
+@settings(max_examples=300, deadline=None)
+@given(clash_theories())
+def test_consistent_is_whether_saturation_meets_no_clash(theory):
+    assert consistent(theory) == _saturates(theory)
+
+
+class TestConsistentFromShapes:
+    CLASH_RULE = ("r", rule("r", atom("p", "X").complement(), atom("q", "X")))
+
+    def test_complementary_shapes_without_complementary_literals_are_consistent(self):
+        theory = Theory([self.CLASH_RULE, ("f1", atom("p", "a")), ("f2", atom("q", "b"))])
+        assert consistent(theory) and _saturates(theory)
+
+    def test_complementary_shapes_with_complementary_literals_are_not(self):
+        theory = Theory([self.CLASH_RULE, ("f1", atom("p", "a")), ("f2", atom("q", "a"))])
+        assert not consistent(theory) and not _saturates(theory)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stratified_theories())
+    def test_a_theory_of_positive_literals_is_not_saturated(self, theory):
+        def refused(_theory):
+            raise AssertionError("forward_chain called")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logic, "forward_chain", refused)
+            assert consistent(theory)
+
+
 def _view_of(theory: Theory, name: str):
     """The view, with every dict read as its items in order; a saturation that clashes gives its literal."""
     try:

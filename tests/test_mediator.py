@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,11 +21,20 @@ from mediatrix.mediator import (
 )
 
 from mediatrix import oracle
-from mediatrix.logic import prove
+from mediatrix.logic import (
+    DEFAULT_PROOF_DEPTH,
+    GIVE_REFUSED,
+    DepthExceeded,
+    generosity,
+    ground_args,
+    prove,
+    ranked_plans,
+)
 from mediatrix.scenario import parse_scenario
 
 from checkers import solution_feasible
 from conftest import GENERAL, SCENARIOS, load_scenario
+from generators import make_scenario
 
 
 class TestRevise:
@@ -320,6 +330,76 @@ def test_a_negated_have_precondition_needs_no_transfer():
     assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals)] == [frozenset()]
 
 
+def _per_assignment_candidates(gamma, goals, prove, depth=DEFAULT_PROOF_DEPTH):
+    """The enumeration as it was before plans were screened: every check runs on every assignment."""
+    if not goals:
+        return []
+    agents = sorted(goals)
+    owner_of = believed_ownership(gamma)
+    owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
+    blocked = {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}
+    per_agent = [ranked_plans(gamma, a, goals[a], owned[a]) for a in agents]
+    if any(not plans for plans in per_agent):
+        return []
+    provable = {}
+
+    def is_provable(give):
+        if give not in provable:
+            try:
+                provable[give] = prove(gamma, give.intention(give.receiver), depth) is not None
+            except DepthExceeded:
+                provable[give] = False
+        return provable[give]
+
+    keeps = {a: i for i, a in enumerate(agents) if generosity(gamma.general, a) is None}
+    out = []
+    for assignment in itertools.product(*per_agent):
+        transfers = set()
+        ok = True
+        for p in assignment:
+            for res in p.unmet:
+                donor = owner_of.get(res)
+                if donor is None or donor == p.agent:
+                    ok = False
+                    break
+                if donor in keeps and res in assignment[keeps[donor]].needed:
+                    ok = False
+                    break
+                give = GiveAction(donor, p.agent, res)
+                if give in blocked or any(t.resource == res for t in transfers):
+                    ok = False
+                    break
+                transfers.add(give)
+            if not ok:
+                break
+        if ok and all(is_provable(give) for give in transfers):
+            out.append(oracle.Candidate(tuple((p.agent, p.rule_label) for p in assignment), frozenset(transfers)))
+    return out
+
+
+def _recording(goals_seen: list):
+    def recorded(theory, goal, depth):
+        goals_seen.append(goal)
+        return prove(theory, goal, depth)
+
+    return recorded
+
+
+def test_screening_plans_once_keeps_the_candidates_and_the_proofs_of_every_assignment(monkeypatch):
+    cases = [oracle.full_disclosure(make_scenario(random.Random(seed))) for seed in range(120)] + [
+        oracle.full_disclosure(load_scenario("two_donor")),
+        oracle.full_disclosure(parse_scenario(REPEATED_PRECONDITION)),
+        oracle.full_disclosure(parse_scenario(NEGATED_HAVE)),
+    ]
+    found = 0
+    for gamma, goals in cases:
+        want_goals, got_goals = [], []
+        want = _per_assignment_candidates(gamma, goals, _recording(want_goals))
+        monkeypatch.setattr(oracle, "prove", _recording(got_goals))
+        assert oracle.brute_force_candidates(gamma, goals) == want
+        assert got_goals == want_goals
+        found += len(want)
+    assert found > len(cases)  # the cases have candidates to agree on
 # a mediator case fact names a goal of `a` that `a` never declares, and `a`
 # intends a belief of `b`
 PROBE = b"""agent a; agent b; mediator m;

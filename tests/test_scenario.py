@@ -80,6 +80,34 @@ class TestParse:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_scenario("scenario x;\nagent a;\nagent a;\nmediator m;")
 
+    @pytest.mark.parametrize(
+        "directive, message",
+        [
+            ("general G.3 generosity;", "general G.3 generosity: must name an agent"),
+            ("general G.4 generosity(zed);", "general G.4 generosity(zed): unknown participant 'zed'"),
+            ("general G.1 ownership(a);", "general G.1 ownership: cannot name an agent"),
+        ],
+    )
+    def test_only_generosity_names_an_agent_and_a_declared_one(self, directive, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL + directive + "\n")
+
+    def test_the_generous_agent_may_be_declared_after_the_directive(self):
+        s = parse_scenario("scenario demo;\ngeneral G.3 generosity(m);\nagent a;\nagent b;\nmediator m;\n")
+        assert [str(g) for g in s.mediator.theory.general] == ["general G.3 generosity(m);"]
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ("general G.2 reduction;\ngeneral G.2 parsimony;", "duplicate general rule label 'G.2'"),
+            ("general a.1 reduction;", "general rule label 'a.1' is also a formula label"),
+            ("general G.2 reduction;\n[G.2] bel b: have(b, pen).", "general rule label 'G.2' is also a formula label"),
+        ],
+    )
+    def test_a_general_rule_label_names_one_thing(self, tail, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL + tail + "\n")
+
     def test_resource_value_out_of_range(self):
         with pytest.raises(ValidationError, match="out of"):
             parse_scenario(MINIMAL + "resource a gold = 1.5;\n")

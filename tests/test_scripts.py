@@ -31,3 +31,14 @@ def test_bench_pairs_marks_a_difference_of_medians_inside_the_before_quartiles()
     assert not within(before, [5.0]) and not within(before, [1.0]) and not within(before, [9.0, 9.0])
     assert within(before, [0.0, 3.5, 9.0])  # the AFTER median, not its spread, is what is compared
     assert not within([2.0], [2.0]) and not within([2.0, 2.0], [2.1])  # no spread: nothing is inside it
+
+
+def test_bench_pairs_marks_a_gain_clear_only_with_nine_wins_in_ten_outside_the_before_quartiles():
+    clear = _load("bench_pairs").clear
+    before = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]  # quartiles 3.25 and 7.75, median 5.5
+    assert clear(before, [0.5] * 10, 9) and clear(before, [0.5] * 10, 10)
+    assert not clear(before, [0.5] * 10, 8)  # 8 of 10 pairs won is too few
+    assert not clear(before, [1.0] * 10, 9)  # medians 4.5 apart, spread 4.5: not more than the spread
+    assert clear(before, [0.99] * 10, 9)
+    assert clear(before[:5], [0.0] * 5, 5) and not clear(before[:5], [0.0] * 5, 4)  # 9 of every 10: 4.5 of 5
+    assert clear([2.0, 2.0], [1.0, 1.0], 2) and not clear([2.0, 2.0], [2.0, 2.0], 2)
