@@ -328,6 +328,16 @@ class Theory:
             out[g.label] = (fact, rule, kinds + (g.kind,))
         return out
 
+    @_view
+    def proofs(self) -> dict[tuple[Literal, int], Union["Proof", None, type[DepthExceeded]]]:
+        """`prove`'s answer for each (goal, depth) asked: the first proof, None, or `DepthExceeded` for a bound hit."""
+        return {}
+
+    @_view
+    def options(self) -> dict[tuple[str, Literal], list["PlanOption"]]:
+        """`plan_options`' list for each (agent, goal atom) asked; its readers only iterate it."""
+        return {}
+
     # -- construction --------------------------------------------------
 
     def extended(self, items: Iterable[tuple[str, Entry]], general=None) -> "Theory":
@@ -738,8 +748,11 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
     The head is bound to the goal in place (`_bind` with tag 0) and each precondition's terms are
     read through that binding: a positive plain `have/2` whose first term is the agent gives only
     its resource, and a literal is built only for another precondition, to look it up as a fact.
-    A repeated precondition counts once.
+    A repeated precondition counts once. The list is kept in the theory's `options` and returned again.
     """
+    asked, question = theory.options, (agent, goal_atom)
+    if question in asked:
+        return asked[question]
     me = Constant(agent)
     out, seen = [], set()
     for _, label, rule in theory.index.heads.get(shape(goal_atom), ()):
@@ -769,6 +782,7 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
             if not (p.is_ground() and theory.has_fact(p)) and p not in missing:
                 missing.append(p)
         out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
+    asked[question] = out
     return out
 
 
@@ -810,14 +824,19 @@ def prove(theory: Theory, goal: Literal, depth: int = DEFAULT_PROOF_DEPTH) -> Op
 
     Facts are tried before rules, rules in declaration order, built-in
     schemes last. Raises DepthExceeded when the depth bound was hit and no
-    proof was found.
+    proof was found. The answer is kept in the theory's `proofs`, so the
+    same question is searched once; a kept bound hit raises anew.
     """
-    search = _Search(theory)
-    for subst, premises in search.solve(goal, EMPTY_SUBSTITUTION, depth):
-        return Proof(subst.apply(goal), premises)
-    if search.depth_hit:
+    asked, question = theory.proofs, (goal, depth)
+    if question not in asked:
+        search = _Search(theory)
+        answers = search.solve(goal, EMPTY_SUBSTITUTION, depth)
+        proof = next((Proof(subst.apply(goal), premises) for subst, premises in answers), None)
+        asked[question] = DepthExceeded if proof is None and search.depth_hit else proof
+    answer = asked[question]
+    if answer is DepthExceeded:
         raise DepthExceeded(f"no proof of {goal} within depth {depth}")
-    return None
+    return answer
 
 
 def _intended(lit: Literal) -> tuple:

@@ -21,7 +21,7 @@ CALLED_FROM_OUTSIDE = {
 
 # an exact ratchet on the package's size: a change to src/mediatrix moves this pin, so its diff states the
 # size change, and one that grows the package says why in CHANGES.md
-SOURCE_LINES = 3406
+SOURCE_LINES = 3425
 
 
 def test_the_package_stays_within_its_pinned_line_count():

@@ -1363,7 +1363,7 @@ def test_prove_binding_in_place_equals_prove_renaming_apart(case):
     got = _outcome(theory, goal)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logic, "_bind", _bind_by_renaming)
-        want = _outcome(theory, goal)
+        want = _outcome(Theory(theory.entries(), theory.general), goal)  # `theory` keeps its first answer
     assert got == want
 
 
@@ -1607,7 +1607,7 @@ def test_reduction_skips_only_body_literals_that_clash_with_the_goal(case):
     got = _outcome(theory, goal)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logic._Search, "_solve_reduction", _reduction_binding_every_literal)
-        want = _outcome(theory, goal)
+        want = _outcome(Theory(theory.entries(), theory.general), goal)  # `theory` keeps its first answer
     assert got == want
 
 
@@ -1681,3 +1681,93 @@ def test_prove_deterministic(gamma_full):
     first = prove(gamma_full, goal)
     second = prove(gamma_full, goal)
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# A theory answers each question once: the `proofs` and `options` views
+# ----------------------------------------------------------------------
+
+
+def _answer(theory: Theory, goal: Literal):
+    """`_outcome`, with a clash of the positive stratum read as its literal."""
+    try:
+        return _outcome(theory, goal)
+    except InconsistentTheory as clash:
+        return ("inconsistent", clash.literal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        stratified_theories().map(lambda theory: (theory, STRATA_GOALS)),
+        shape_theories().map(lambda case: (case[0], [case[2]])),
+    )
+)
+def test_a_question_asked_again_gets_the_answer_of_a_fresh_theory(case):
+    theory, goals = case
+    for goal in goals:
+        first = _answer(theory, goal)
+        assert _answer(theory, goal) == first == _answer(Theory(theory.entries(), theory.general), goal), f"{goal}"
+
+
+@settings(max_examples=200)
+@given(plans_and_goals(wide=True), st.sampled_from([("a", "b"), ("b", "a")]))
+def test_plan_options_asked_again_equal_those_of_a_fresh_theory(case, agents):
+    theory, goal = case
+    for agent in agents:  # the agent is part of the question
+        first = plan_options(theory, agent, goal)
+        assert plan_options(theory, agent, goal) is first
+        assert first == plan_options(Theory(theory.entries(), theory.general), agent, goal)
+
+
+REACH = Theory(
+    [
+        ("l1", atom("link", "a", "b")),
+        ("l2", atom("link", "b", "a")),
+        ("r1", rule("r1", atom("reach", "X", "Y"), atom("link", "X", "Y"))),
+        ("r2", rule("r2", atom("reach", "X", "Z"), atom("link", "X", "Y"), atom("reach", "Y", "Z"))),
+    ]
+)
+
+
+class TestAnswersKept:
+    def test_a_kept_bound_hit_raises_a_new_error_without_searching_again(self, monkeypatch):
+        theory, goal = Theory(REACH.entries()), atom("reach", "a", "c")
+        with pytest.raises(DepthExceeded) as first:
+            prove(theory, goal, depth=4)
+        monkeypatch.setattr(logic, "_Search", None)  # a second search would fail on this
+        with pytest.raises(DepthExceeded) as second:
+            prove(theory, goal, depth=4)
+        assert second.value is not first.value
+        assert str(second.value) == str(first.value) == "no proof of reach(a, c) within depth 4"
+
+    def test_another_depth_is_another_question(self):
+        theory = Theory(REACH.entries())
+        with pytest.raises(DepthExceeded):
+            prove(theory, atom("reach", "a", "c"), depth=4)
+        assert prove(theory, atom("reach", "a", "b"), depth=4) is not None
+        with pytest.raises(DepthExceeded):
+            prove(theory, atom("reach", "a", "c"), depth=5)
+        asked = {(atom("reach", "a", "c"), 4), (atom("reach", "a", "b"), 4), (atom("reach", "a", "c"), 5)}
+        assert set(theory.proofs) == asked
+
+    def test_a_derived_theory_starts_with_no_answers(self):
+        theory = Theory(
+            [
+                ("f1", atom("have", "a", "r")),
+                ("d1", rule("d1", atom("can", "X", "go"), atom("have", "X", "r"))),
+                ("g1", intends("a", atom("can", "a", "go"))),
+            ],
+            [GeneralRule("G.2", GeneralKind.REDUCTION)],
+        )
+        goal = intends("a", atom("have", "a", "r"))
+        assert prove(theory, goal) is not None and plan_options(theory, "a", atom("can", "a", "go"))
+        assert theory.proofs and theory.options
+        children = [
+            theory.extended([("f2", atom("have", "b", "s"))]),
+            theory.filtered(lambda l, e: True),
+            theory.restricted(theory.labels() + ["G.2"]),
+        ]
+        for child in children:
+            assert child.proofs == {} and child.options == {}
+            assert prove(child, goal) == prove(theory, goal)

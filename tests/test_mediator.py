@@ -481,3 +481,13 @@ def test_full_disclosure_adds_each_item_once_as_the_quadratic_rule_did(data):
     reference = quadratic_gamma(s)
     assert gamma.entries() == reference.entries()
     assert gamma.general == reference.general
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.med")))
+def test_no_parsed_theory_keeps_an_answer_after_mediation_and_certification(name):
+    # answers are kept only by the theories an op derives, so no op reuses another op's work
+    s = load_scenario(name)
+    mediate(list(s.agents), s.mediator, s.config, s.name)
+    oracle.certify(s)
+    parsed = [s.mediator.theory] + [unit for agent in s.agents for unit in agent.units.values()]
+    assert [theory for theory in parsed if theory.__dict__.get("proofs") or theory.__dict__.get("options")] == []

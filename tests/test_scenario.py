@@ -258,6 +258,11 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=f"^resource value {value} has no decimal form the parser reads$"):
             serialize_scenario(replace(s, mediator=mediator))
 
+    def test_a_negative_value_has_no_decimal_form_the_parser_reads(self):
+        # no agent or mediator state holds a negative value, so only a direct call can pass one
+        with pytest.raises(ValueError, match=r"^resource value -1/2 has no decimal form the parser reads$"):
+            scenario_module._fraction(Fraction(-1, 2))
+
 
 class TestFuzzSafety:
     """No input may crash the parser with anything but its own error types."""

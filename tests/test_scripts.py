@@ -1,8 +1,10 @@
-"""Checks of the benchmark scripts' own arithmetic, without running the benchmark."""
+"""Checks of the scripts: the benchmark scripts' own arithmetic, without running the benchmark, and the scope report."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -42,3 +44,20 @@ def test_bench_pairs_marks_a_gain_clear_only_with_nine_wins_in_ten_outside_the_b
     assert clear(before, [0.99] * 10, 9)
     assert clear(before[:5], [0.0] * 5, 5) and not clear(before[:5], [0.0] * 5, 4)  # 9 of every 10: 4.5 of 5
     assert clear([2.0, 2.0], [1.0, 1.0], 2) and not clear([2.0, 2.0], [2.0, 2.0], 2)
+
+
+def test_scope_counts_reports_the_one_resource_scope():
+    # the 28 scenarios of one resource are 15 up to symmetry; both agents need the resource, so all fail
+    argv = [sys.executable, str(SCRIPTS / "scope_counts.py"), "--resources", "1"]
+    run = subprocess.run(argv, capture_output=True, text=True, check=True)
+    lines = run.stdout.splitlines()
+    assert lines[:-1] == [
+        "scope: 1 resource(s)",
+        "scenarios: 15",
+        "successes: 0",
+        "failures: 15",
+        "undelivered successes: 0",
+        "gap runs: 0",
+        "certify diffs: 0",
+    ]
+    assert lines[-1].startswith("runtime: ") and lines[-1].endswith(" s")
