@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .lang import Constant, Literal, Modality, intends
 from .logic import (
@@ -22,12 +22,10 @@ from .logic import (
     GeneralRule,
     Rule,
     Theory,
-    believed_ownership,
     generosity,
     ground_args,
-    holdings,
     is_goal,
-    plan_options,
+    select_plan,
 )
 
 # Bridge rule labels; the rules themselves are built in and toggled per scenario.
@@ -86,14 +84,6 @@ class Message(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.sender} -> {self.receiver}: {self.payload})"
-
-
-@dataclass(frozen=True)
-class Plan:
-    rule_label: str
-    needed: tuple[str, ...]  # resources the plan requires the agent to hold
-    unmet: tuple[Literal, ...]
-    transfers: tuple[GiveAction, ...]
 
 
 class DisclosureItem(NamedTuple):
@@ -194,67 +184,21 @@ class AgentState:
 # ----------------------------------------------------------------------
 
 
-def plan(agent: AgentState, goal: Literal) -> list[Plan]:
-    """Plans for an intention, best first: the first is the one the agent commits to.
-
-    Candidate rules come from the belief unit; a plan is suppressed
-    entirely when the agent explicitly does not intend the goal
-    (parsimony). Promised incoming transfers count as met preconditions.
-    Selection order: fewest unmet preconditions, then fewest transfers,
-    then rule label. Unmet ownership preconditions are listed before the
-    other unmet preconditions.
-    """
-    inner = goal.atom()
-    negated = inner.complement()
-    if agent.unit("I").has_fact(negated):
-        return []
-    have = agent.owned() | holdings(agent.unit("B"), agent.id)
-    promised = _promises(agent)
-    believed_owner = believed_ownership(agent.unit("B"))
-
-    plans = []
-    for o in plan_options(agent.delta(), agent.id, inner):
-        unmet, transfers = [], []
-        for res in o.needed:
-            if res in have:
-                continue
-            if res in promised:
-                transfers.append(GiveAction(promised[res], agent.id, res))
-                continue
-            unmet.append(Literal(OWNS, (Constant(agent.id), Constant(res))))
-            owner = believed_owner.get(res)
-            if owner and owner != agent.id:
-                transfers.append(GiveAction(owner, agent.id, res))
-        unmet += o.missing
-        plans.append(Plan(o.label, o.needed, tuple(unmet), tuple(transfers)))
-
-    plans.sort(key=lambda p: (len(p.unmet), len(p.transfers), p.rule_label))
-    return plans
-
-
-def _promises(agent: AgentState) -> dict[str, str]:
-    """resource -> promised giver, from incoming transfer intentions (first wins)."""
-    out: dict[str, str] = {}
-    for giver, receiver, res in ground_args(agent.unit("I"), GIVE_PLAIN):
-        if receiver == agent.id:
-            out.setdefault(res, giver)
-    return out
+def plan(agent: AgentState) -> Optional[tuple[str, str, set[str], bool]]:
+    """The agent's plan commitment, (goal label, rule label, needed, several) or None: the one parsimony reads."""
+    return select_plan(agent.delta(), agent.id)
 
 
 def intends_to_keep(agent: AgentState, resource: str) -> bool:
-    """NAF over the intention unit after replanning.
+    """NAF over the intention unit after replanning: an explicit keep intention, or the committed plan needs it.
 
-    True when an explicit keep intention exists or the first plan for
-    one of the agent's goals needs the resource.
+    So the agent keeps exactly what parsimony refuses when it evaluates a proposal.
     """
     keep = Literal(OWNS, (Constant(agent.id), Constant(resource)))
     if agent.unit("I").has_fact(keep):
         return True
-    for _, goal in agent.goals():
-        plans = plan(agent, agent.intention(goal))
-        if plans and resource in plans[0].needed:
-            return True
-    return False
+    committed = plan(agent)
+    return committed is not None and resource in committed[2]
 
 
 # ----------------------------------------------------------------------

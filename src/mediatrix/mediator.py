@@ -135,6 +135,7 @@ def revise(gamma: Theory, incoming: list[tuple[str, Entry]]) -> Theory:
 def create_solution(
     gamma: Theory,
     goals: dict[str, Literal],
+    mediator: str,
     exclude: Iterable[GiveAction] = (),
     depth: int = DEFAULT_PROOF_DEPTH,
 ) -> Optional[Solution]:
@@ -144,13 +145,16 @@ def create_solution(
     unmet precondition is satisfied by a transfer from its owner, admitted
     only when gamma declares the owner generous or the owner's own
     assigned plan does not need the resource, and the transfer is neither
-    excluded nor refused in gamma. The first feasible assignment yields the
-    solution; every transfer is backed by a freshly constructed argument.
+    excluded nor refused in gamma; `mediator`, with no plan, must be generous.
+    The first feasible assignment yields the solution; every transfer is
+    backed by a freshly constructed argument.
     """
     if not goals:
         return None
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
+    if generosity(gamma.general, mediator) is None:  # then a resource the mediator holds has no donor
+        owner_of = {r: o for r, o in owner_of.items() if o != mediator}
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
     excluded = set(exclude) | {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}
     per_agent = [ranked_plans(gamma, a, goals[a], owned[a]) for a in agents]
@@ -264,7 +268,7 @@ class Mediation:
         return [l for l, _ in labelled]
 
     def _solve(self, exclude: Iterable[GiveAction] = ()) -> Optional[Solution]:
-        return create_solution(self.gamma, self.goals(), exclude, self.config.proof_depth)
+        return create_solution(self.gamma, self.goals(), self.mediator.id, exclude, self.config.proof_depth)
 
     # -- protocol steps ------------------------------------------------
 

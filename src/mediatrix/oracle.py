@@ -39,6 +39,7 @@ class Candidate(NamedTuple):
 def brute_force_candidates(
     gamma: Theory,
     goals: dict[str, Literal],
+    mediator: str,
     depth: int = DEFAULT_PROOF_DEPTH,
 ) -> list[Candidate]:
     """Every admissible joint plan assignment with its forced transfers.
@@ -46,17 +47,19 @@ def brute_force_candidates(
     A resource has a unique believed owner, so once plans are fixed the
     transfer set is forced; admissibility mirrors the planner: the donor
     must exist, differ from the taker, be declared generous in gamma or
-    not need the item for its own assigned plan, the transfer must not be
-    blocked, and a transfer-intention argument must be provable. What one
-    plan decides alone is screened once, before the assignments: each
-    plan's transfers are built, and a plan is dropped when one of them has
-    no donor, its own agent as donor, or is blocked. Each distinct
-    transfer is proved at most once per call.
+    not need the item for its own assigned plan (`mediator` has no plan),
+    the transfer must not be blocked, and a transfer-intention argument
+    must be provable. What one plan decides alone is screened once, before
+    the assignments: each plan's transfers are built, and a plan is dropped
+    when one of them has no donor, its own agent as donor, or is blocked.
+    Each distinct transfer is proved at most once per call.
     """
     if not goals:
         return []
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
+    if generosity(gamma.general, mediator) is None:  # then a resource the mediator holds has no donor
+        owner_of = {r: o for r, o in owner_of.items() if o != mediator}
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
     blocked = {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}  # intentions gamma negates
     # the donors whose own plan's needs may block a transfer: the agents that are not generous
@@ -114,11 +117,12 @@ def brute_force_candidates(
 def oracle_diff(
     gamma: Theory,
     goals: dict[str, Literal],
+    mediator: str,
     depth: int = DEFAULT_PROOF_DEPTH,
 ) -> list[str]:
     """Discrepancies between the planner and the enumerator; empty means agreement."""
-    candidates = brute_force_candidates(gamma, goals, depth)
-    solution = create_solution(gamma, goals, depth=depth)
+    candidates = brute_force_candidates(gamma, goals, mediator, depth)
+    solution = create_solution(gamma, goals, mediator, depth=depth)
     diffs = []
     if solution is None:
         if candidates:
@@ -172,4 +176,4 @@ def full_disclosure(scenario: Scenario) -> tuple[Theory, dict[str, Literal]]:
 
 def certify(scenario: Scenario, depth: int = DEFAULT_PROOF_DEPTH) -> list[str]:
     """Oracle verdict for a scenario under full disclosure."""
-    return oracle_diff(*full_disclosure(scenario), depth=depth)
+    return oracle_diff(*full_disclosure(scenario), scenario.mediator.id, depth)

@@ -17,7 +17,7 @@ from mediatrix.transcript import from_dict, parse_transcript, serialize_transcri
 
 from checkers import minimality_check
 from conftest import SCENARIOS, load_scenario
-from generators import make_case, make_scenario
+from generators import MEDIATOR, make_case, make_scenario
 
 
 def report(capsys, number: int, text: str) -> None:
@@ -113,7 +113,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     for seed in range(250):
         rng = random.Random(seed)
         gamma, goals = make_case(rng)
-        diffs = oracle_diff(gamma, goals)
+        diffs = oracle_diff(gamma, goals, MEDIATOR)
         assert diffs == [], f"seed {seed}: {diffs}"
         cases += 1
     elapsed = time.time() - started

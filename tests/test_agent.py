@@ -23,8 +23,9 @@ from mediatrix.agent import (
 from mediatrix import agent as agent_module
 from mediatrix import logic
 from mediatrix.argumentation import Verdict, construct_argument, evaluate
-from mediatrix.lang import Literal, Modality, atom, intends, modal
-from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory
+from mediatrix.lang import Literal, atom, intends
+from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory, prove, select_plan
+from mediatrix.scenario import parse_scenario
 
 GENERAL = (
     GeneralRule("G.1", GeneralKind.OWNERSHIP),
@@ -125,8 +126,7 @@ class TestDuplicateBelief:
     def test_plan_is_unchanged(self):
         twinned, reference = self.agents()
         assert len(twinned.delta()) == len(reference.delta()) + 2
-        goal = intends("beta", atom("can", "beta", "hang_mirror"))
-        assert plan(twinned, goal) == plan(reference, goal)
+        assert plan(twinned) == plan(reference)
 
     def test_evaluate_is_unchanged(self, gamma_full):
         twinned, reference = self.agents()
@@ -144,40 +144,58 @@ class TestDuplicateBelief:
             assert decision.verdict is verdict
 
 
+def make_two_plan_beta() -> AgentState:
+    """beta with a second plan for its goal: each plan lacks one resource, hammer or glue."""
+    glue = Rule("B.5", atom("can", "X", "hang_mirror"), (atom("have", "X", "mirror"), atom("have", "X", "glue")))
+    return make_beta(units={**make_beta().units, "B": make_beta().unit("B").extended([("B.5", glue)])})
+
+
+# beta's two plans each lack one resource, hammer or glue; a modal transfer intention promises the glue
+MODAL_PROMISE = b"""agent alpha; agent beta; mediator mu;
+[A.1] int alpha: can(alpha, hang_picture).
+[B.1] int beta: can(beta, hang_mirror).
+[B.2] bel beta: have(beta, mirror).
+[B.3] bel beta: have(beta, nail).
+[B.4] bel beta: can(X, hang_mirror) :- have(X, hammer), have(X, nail), have(X, mirror).
+[B.5] bel beta: can(X, hang_mirror) :- have(X, mirror), have(X, glue).
+[B.6] int beta: bel mu: give(mu, beta, glue).
+resource beta mirror = 1;
+resource beta nail = 1;
+"""
+
+
 class TestPlan:
-    def test_single_plan_with_unmet_hammer(self):
-        plans = plan(make_beta(), intends("beta", atom("can", "beta", "hang_mirror")))
-        assert [p.rule_label for p in plans] == ["B.4"]
-        assert [str(u) for u in plans[0].unmet] == ["have(beta, hammer)"]
+    def test_the_single_plan_is_committed_to(self):
+        assert plan(make_beta()) == ("I:B.1", "B.4", {"hammer", "nail", "mirror"}, False)
+
+    def test_plan_is_the_commitment_parsimony_reads(self):
+        agent = make_two_plan_beta()
+        assert plan(agent) == select_plan(agent.delta(), "beta") == ("I:B.1", "B.4", {"hammer", "nail", "mirror"}, True)
 
     def test_promised_resource_counts_as_met(self):
-        agent = make_beta()
-        promise = atom("give", "mu", "beta", "hammer")
+        agent = make_two_plan_beta()
+        assert plan(agent)[1] == "B.4"  # each plan lacks one resource: the label decides
+        promise = atom("give", "mu", "beta", "glue")
         agent = agent.with_unit("I", agent.unit("I").extended([("T:1", promise)]))
-        plans = plan(agent, intends("beta", atom("can", "beta", "hang_mirror")))
-        assert plans[0].unmet == ()
-        assert GiveAction("mu", "beta", "hammer") in plans[0].transfers
+        assert plan(agent)[1:3] == ("B.5", {"mirror", "glue"})
 
-    def test_modal_transfer_in_the_intention_unit_is_no_promise(self):
-        agent = make_beta()
-        belief = modal(Modality.BEL, "mu", atom("give", "mu", "beta", "hammer"))
-        agent = agent.with_unit("I", agent.unit("I").extended([("T:1", belief)]))
-        plans = plan(agent, intends("beta", atom("can", "beta", "hang_mirror")))
-        assert [str(u) for u in plans[0].unmet] == ["have(beta, hammer)"]
-        assert plans[0].transfers == ()
+    def test_modal_transfer_in_the_intention_unit_is_read_as_the_parser_says(self):
+        s = parse_scenario(MODAL_PROMISE)
+        assert s.warnings == ("intention B.6 nests a modality; it is read as int beta: give(mu, beta, glue)",)
+        assert plan(s.agents[1])[1] == "B.5"  # the promised glue counts as met
 
-    def test_explicitly_renounced_goal_suppresses_plans(self):
-        agent = make_beta()
+    def test_explicitly_renounced_goal_gives_no_plan(self):
+        # a unit holding a goal and its renunciation is a realism violation, so the renunciation stands alone
         negated = atom("can", "beta", "hang_mirror").complement()
-        agent = agent.with_unit("I", agent.unit("I").extended([("N.1", negated)]))
-        assert plan(agent, intends("beta", atom("can", "beta", "hang_mirror"))) == []
+        agent = make_beta().with_unit("I", Theory([("N.1", negated)]))
+        assert plan(agent) is None
+        assert not intends_to_keep(agent, "nail")
 
     def test_selection_prefers_fewer_unmet(self):
         alt = Rule("B.5", atom("can", "X", "hang_mirror"), (atom("have", "X", "mirror"),))
         agent = make_beta()
         agent = agent.with_unit("B", agent.unit("B").extended([("B.5", alt)]))
-        plans = plan(agent, intends("beta", atom("can", "beta", "hang_mirror")))
-        assert [p.rule_label for p in plans] == ["B.5", "B.4"]
+        assert plan(agent) == ("I:B.1", "B.5", {"mirror"}, True)
 
 
 class TestIntendsToKeep:
@@ -193,6 +211,22 @@ class TestIntendsToKeep:
         keep = atom("have", "beta", "string")
         agent = agent.with_unit("I", agent.unit("I").extended([("K.1", keep)]))
         assert intends_to_keep(agent, "string")
+
+    def test_keeps_what_the_plan_parsimony_charges_needs(self):
+        # each plan lacks one resource; only B.4's has a believed owner, so ranking by fewest
+        # transfers would commit to B.5, which does not need the nail
+        hammer_plan = Rule("B.4", atom("can", "X", "hang_mirror"), (atom("have", "X", "hammer"), atom("have", "X", "nail")))
+        glue_plan = Rule("B.5", atom("can", "X", "hang_mirror"), (atom("have", "X", "glue"),))
+        beliefs = [
+            ("B.2", atom("have", "beta", "nail")),
+            ("B.3", atom("have", "alpha", "hammer")),
+            ("B.4", hammer_plan),
+            ("B.5", glue_plan),
+        ]
+        agent = make_beta(units={**make_beta().units, "B": Theory(beliefs)}, resources=(("nail", Fraction(1)),))
+        refusal = intends("alpha", atom("give", "beta", "alpha", "nail")).complement()
+        assert prove(agent.delta(), refusal) is not None  # parsimony refuses to give the nail
+        assert intends_to_keep(agent, "nail")
 
 
 class TestBridgeStep:

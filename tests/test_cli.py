@@ -156,8 +156,8 @@ class TestCheck:
         assert "unreachable" not in out
 
 
-def _one_transfer_short(gamma, goals, depth):
-    solution = create_solution(gamma, goals, depth=depth)
+def _one_transfer_short(gamma, goals, mediator, depth):
+    solution = create_solution(gamma, goals, mediator, depth=depth)
     return replace(solution, transfers=solution.transfers[1:])
 
 
@@ -176,12 +176,12 @@ class TestOracle:
         [
             (
                 "home_improvement",
-                lambda gamma, goals, depth: None,
+                lambda gamma, goals, mediator, depth: None,
                 "planner found no solution but 1 candidate(s) exist, e.g. plans (('alpha', 'O.5'), ('beta', 'M.2'))",
             ),
             (
                 "home_improvement_no_m2",
-                lambda gamma, goals, depth: INVENTED,
+                lambda gamma, goals, mediator, depth: INVENTED,
                 "planner returned (('alpha', 'A.9'), ('beta', 'B.9')) but the enumerator finds no candidate",
             ),
             (

@@ -85,7 +85,7 @@ class TestCreateSolution:
         }
 
     def test_case_study_three_transfers(self, gamma_full):
-        solution = create_solution(gamma_full, self.goals())
+        solution = create_solution(gamma_full, self.goals(), "mu")
         assert solution is not None
         assert set(solution.transfers) == {
             GiveAction("beta", "alpha", "nail"),
@@ -106,21 +106,21 @@ class TestCreateSolution:
             [l for l in gamma_full.labels() if l not in ("M.1", "M.2")]
             + [g.label for g in gamma_full.general]
         )
-        assert create_solution(gamma, self.goals()) is None
+        assert create_solution(gamma, self.goals(), "mu") is None
 
     def test_blocked_transfer_excludes_assignment(self, gamma_full):
         blocked = intends("alpha", atom("give", "beta", "alpha", "nail")).complement()
         gamma = gamma_full.extended([("M.20", blocked)])
-        assert create_solution(gamma, self.goals()) is None
+        assert create_solution(gamma, self.goals(), "mu") is None
 
     def test_explicit_exclusion(self, gamma_full):
-        assert create_solution(gamma_full, self.goals(), exclude=[GiveAction("beta", "alpha", "nail")]) is None
+        assert create_solution(gamma_full, self.goals(), "mu", exclude=[GiveAction("beta", "alpha", "nail")]) is None
 
     def test_no_goals_no_solution(self, gamma_full):
-        assert create_solution(gamma_full, {}) is None
+        assert create_solution(gamma_full, {}, "mu") is None
 
     def test_feasibility_replay(self, gamma_full):
-        solution = create_solution(gamma_full, self.goals())
+        solution = create_solution(gamma_full, self.goals(), "mu")
         world = {
             "alpha": frozenset({"picture", "hammer", "screw"}),
             "beta": frozenset({"mirror", "nail"}),
@@ -258,7 +258,7 @@ def test_oracle_proves_each_distinct_transfer_once(monkeypatch):
         return prove(theory, goal, depth)
 
     monkeypatch.setattr(oracle, "prove", counting)
-    candidates = oracle.brute_force_candidates(gamma, goals)
+    candidates = oracle.brute_force_candidates(gamma, goals, "mu")
     transfers = {t for c in candidates for t in c.transfers}
     assert len(candidates) > len(transfers) > 0
     assert sorted(proved) == sorted(str(t.intention(t.receiver)) for t in transfers)
@@ -300,7 +300,7 @@ def test_a_repeated_precondition_is_one_transfer():
     assert out.solution.transfers == (GiveAction("b", "a", "r"),)
     assert oracle.certify(s) == []
     gamma, goals = oracle.full_disclosure(s)
-    assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals)] == [frozenset(out.solution.transfers)]
+    assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals, "m")] == [frozenset(out.solution.transfers)]
 
 
 # `a`'s only plan needs `a` not to hold `r`, which `a` believes; a negated
@@ -327,15 +327,58 @@ def test_a_negated_have_precondition_needs_no_transfer():
     assert dict(out.transcript.final_ownership) == {"a": (), "b": ("r", "s"), "m": ()}
     assert oracle.certify(s) == []
     gamma, goals = oracle.full_disclosure(s)
-    assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals)] == [frozenset()]
+    assert [c.transfers for c in oracle.brute_force_candidates(gamma, goals, "m")] == [frozenset()]
 
 
-def _per_assignment_candidates(gamma, goals, prove, depth=DEFAULT_PROOF_DEPTH):
+# `single_donor` with no generous mediator: `mu`, not beta, holds the tool1 alpha needs
+MEAN_MEDIATOR = (
+    (SCENARIOS / "single_donor.med").read_bytes()
+    .replace(b"general G.3 generosity(mu);\n", b"")
+    .replace(b"[B.3] bel beta: have(beta, tool1).\n", b"")
+    .replace(b"[M.4] bel mu: have(beta, tool1).", b"[M.4] bel mu: have(mu, tool1).")
+    .replace(b"resource beta tool1 = 1;", b"resource mu tool1 = 0;")
+)
+
+# nobody is generous, and the agent that holds the tool1 alpha needs has no goal
+GOALLESS_DONOR = b"""agent alpha; agent beta; mediator mu;
+general G.1 ownership; general G.2 reduction; general G.6 parsimony; general G.7 unique_choice;
+[A.1] int alpha: can(alpha, task_a).
+[A.2] bel alpha: can(X, task_a) :- have(X, tool1).
+[B.1] bel beta: have(beta, tool1).
+resource beta tool1 = 1;
+"""
+
+
+def test_a_mediator_that_is_not_generous_is_no_donor():
+    s = parse_scenario(MEAN_MEDIATOR)
+    assert s.mediator.resources == (("tool1", Fraction(0)),) and not generosity(s.mediator.theory.general, "mu")
+    out = mediate(list(s.agents), s.mediator, s.config, s.name)
+    assert (out.status, out.reason) == ("failure", "no new knowledge and no solution")
+    assert all(r.solution is None for r in out.transcript.rounds)
+    assert dict(out.transcript.final_ownership) == {"alpha": (), "beta": ("bench",), "mu": ("tool1",)}
+    assert oracle.certify(s) == []
+    gamma, goals = oracle.full_disclosure(s)
+    assert create_solution(gamma, goals, "mu") is None and oracle.brute_force_candidates(gamma, goals, "mu") == []
+    generous = gamma.extended([], gamma.general + (GENERAL[2],))  # G.3 generosity(mu)
+    assert create_solution(generous, goals, "mu").transfers == (GiveAction("mu", "alpha", "tool1"),)
+
+
+def test_an_agent_with_no_goal_still_gives():
+    s = parse_scenario(GOALLESS_DONOR)
+    out = mediate(list(s.agents), s.mediator, s.config, s.name)
+    assert out.status == "success"
+    assert dict(out.transcript.final_ownership) == {"alpha": ("tool1",), "beta": (), "mu": ()}
+    assert oracle.certify(s) == []
+
+
+def _per_assignment_candidates(gamma, goals, mediator, prove, depth=DEFAULT_PROOF_DEPTH):
     """The enumeration as it was before plans were screened: every check runs on every assignment."""
     if not goals:
         return []
     agents = sorted(goals)
     owner_of = believed_ownership(gamma)
+    if generosity(gamma.general, mediator) is None:
+        owner_of = {r: o for r, o in owner_of.items() if o != mediator}
     owned = {a: {r for r, o in owner_of.items() if o == a} for a in agents}
     blocked = {GiveAction(*args) for args in ground_args(gamma, GIVE_REFUSED)}
     per_agent = [ranked_plans(gamma, a, goals[a], owned[a]) for a in agents]
@@ -386,20 +429,21 @@ def _recording(goals_seen: list):
 
 
 def test_screening_plans_once_keeps_the_candidates_and_the_proofs_of_every_assignment(monkeypatch):
-    cases = [oracle.full_disclosure(make_scenario(random.Random(seed))) for seed in range(120)] + [
-        oracle.full_disclosure(load_scenario("two_donor")),
-        oracle.full_disclosure(parse_scenario(REPEATED_PRECONDITION)),
-        oracle.full_disclosure(parse_scenario(NEGATED_HAVE)),
+    scenarios = [make_scenario(random.Random(seed)) for seed in range(120)] + [
+        load_scenario("two_donor"),
+        parse_scenario(REPEATED_PRECONDITION),
+        parse_scenario(NEGATED_HAVE),
     ]
     found = 0
-    for gamma, goals in cases:
+    for s in scenarios:
+        gamma, goals = oracle.full_disclosure(s)
         want_goals, got_goals = [], []
-        want = _per_assignment_candidates(gamma, goals, _recording(want_goals))
+        want = _per_assignment_candidates(gamma, goals, s.mediator.id, _recording(want_goals))
         monkeypatch.setattr(oracle, "prove", _recording(got_goals))
-        assert oracle.brute_force_candidates(gamma, goals) == want
+        assert oracle.brute_force_candidates(gamma, goals, s.mediator.id) == want
         assert got_goals == want_goals
         found += len(want)
-    assert found > len(cases)  # the cases have candidates to agree on
+    assert found > len(scenarios)  # the cases have candidates to agree on
 # a mediator case fact names a goal of `a` that `a` never declares, and `a`
 # intends a belief of `b`
 PROBE = b"""agent a; agent b; mediator m;

@@ -43,7 +43,8 @@ from mediatrix.transcript import (
     to_dict,
 )
 
-from checkers import find_attacks, minimality_check
+from checkers import delivery_failures, find_attacks, minimality_check
+from conftest import load_scenario
 from generators import AGENTS, MEDIATOR, make_case, make_scenario
 
 CONSTS = ["a", "b", "c"]
@@ -381,6 +382,47 @@ def test_a_reported_success_meets_every_agents_goal():
     scenario = parse_scenario(UNDERCUT_SCENARIO)
     out = mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
     assert out.status != "success" or unmet_goals(scenario, out.transcript.final_ownership) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_every_give_moves_a_held_resource_and_every_success_meets_each_goal(seed):
+    scenario = make_scenario(random.Random(seed))
+    try:
+        out = mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
+    except (RealismViolation, IncoherentInput):
+        return
+    assert delivery_failures(scenario, serialize_transcript(out.transcript, "json")) == []
+
+
+# runs in which a donor accepted a proposal and then refused the transfer it had accepted
+@pytest.mark.parametrize("seed", [11, 33])
+def test_a_donor_gives_what_it_accepted_to_give(seed):
+    scenario = make_scenario(random.Random(seed))
+    out = mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
+    assert out.status == "success"
+    assert delivery_failures(scenario, serialize_transcript(out.transcript, "json")) == []
+
+
+def test_the_delivery_check_reads_what_the_transcript_claims():
+    scenario = load_scenario("home_improvement")
+    out = mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
+    data = serialize_transcript(out.transcript, "json")
+    assert delivery_failures(scenario, data) == []
+    claims = json.loads(data)
+    claims["final_ownership"] = [[owner, []] for owner, _ in claims["final_ownership"]]
+    assert delivery_failures(scenario, json.dumps(claims).encode()) == [
+        "the GIVE messages end at [('alpha', ['hammer', 'nail', 'picture']), ('beta', ['mirror', 'screw', 'screwdriver']), "
+        "('mu', [])], not at final_ownership",
+        "success, but no declared rule for alpha's goal can(alpha, hang_picture) is met by []",
+        "success, but no declared rule for beta's goal can(beta, hang_mirror) is met by []",
+    ]
+    claims = json.loads(data)
+    give = next(m for r in claims["rounds"] for m in r["messages"] if m["kind"] == "give")
+    give["payload"] = "give(mu, alpha, nail)"
+    assert delivery_failures(scenario, json.dumps(claims).encode())[0].endswith(
+        "give(mu, alpha, nail) moves a resource mu does not hold"
+    )
 
 
 @st.composite

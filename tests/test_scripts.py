@@ -61,3 +61,13 @@ def test_scope_counts_reports_the_one_resource_scope():
         "certify diffs: 0",
     ]
     assert lines[-1].startswith("runtime: ") and lines[-1].endswith(" s")
+
+
+def test_scope_counts_fails_on_an_undelivered_success(monkeypatch, capsys):
+    script = _load("scope_counts")
+    found = {"successes": 1, "undelivered successes": 0}
+    monkeypatch.setattr(script, "counts", lambda n: dict(found))
+    assert script.main([]) == 0
+    found["undelivered successes"] = 1
+    assert script.main([]) == 1
+    assert "undelivered successes: 1" in capsys.readouterr().out
