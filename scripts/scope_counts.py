@@ -17,11 +17,14 @@ does. The script prints:
 - gap runs: failures although the planner finds a solution for the
   mediator's theory under full disclosure (`oracle.full_disclosure`);
 - certify diffs: scenarios on which the oracle and the planner disagree;
+- swap-dependent scenarios: scenarios whose twin under swapping a1 and a2
+  ends with another status or round count. The mediation is not symmetric
+  in the agents' ids, so a skipped scenario can end otherwise than the one
+  kept;
 - its own runtime.
 
-The mediation is not symmetric in the agents' ids, so a skipped scenario
-can end otherwise than the one kept. On a 2-vCPU machine the 2-resource
-scope takes about 5 s and the 3-resource scope about 4.5 minutes.
+On a 2-vCPU machine the 2-resource scope takes about 8 s and the
+3-resource scope about 7 minutes.
 
 It exits 1 when a scenario raises, and names that scenario. It also exits
 1 when a success is undelivered. The reduction to one scenario per class
@@ -47,11 +50,20 @@ from mediatrix.mediator import create_solution, mediate  # noqa: E402
 
 def counts(n_resources: int) -> dict[str, int]:
     """The counts the script prints, by name, in print order."""
-    names = ["scenarios", "successes", "failures", "undelivered successes", "gap runs", "certify diffs"]
+    names = [
+        "scenarios",
+        "successes",
+        "failures",
+        "undelivered successes",
+        "gap runs",
+        "certify diffs",
+        "swap-dependent scenarios",
+    ]
     out = dict.fromkeys(names, 0)
-    for s in small_scope(n_resources):
+    for s, twin in small_scope(n_resources):
         try:
             outcome = mediate(list(s.agents), s.mediator, s.config, s.name)
+            swapped = mediate(list(twin.agents), twin.mediator, twin.config, twin.name)
             gamma, goals = oracle.full_disclosure(s)
             diffs = oracle.oracle_diff(gamma, goals, s.mediator.id, s.config.proof_depth)
             solvable = create_solution(gamma, goals, s.mediator.id, depth=s.config.proof_depth) is not None
@@ -68,6 +80,7 @@ def counts(n_resources: int) -> dict[str, int]:
             out["failures"] += 1
             out["gap runs"] += solvable
         out["certify diffs"] += bool(diffs)
+        out["swap-dependent scenarios"] += (outcome.status, outcome.rounds) != (swapped.status, swapped.rounds)
     return out
 
 

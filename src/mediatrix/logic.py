@@ -334,8 +334,8 @@ class Theory:
         return {}
 
     @_view
-    def options(self) -> dict[tuple[str, Literal], list["PlanOption"]]:
-        """`plan_options`' list for each (agent, goal atom) asked; its readers only iterate it."""
+    def options(self) -> dict[tuple[str, Literal], list[tuple[str, tuple[str, ...]]]]:
+        """`plan_options`' usable (rule label, needed resources) pairs for each (agent, goal atom) asked."""
         return {}
 
     # -- construction --------------------------------------------------
@@ -717,19 +717,6 @@ def believed_ownership(theory: Theory) -> dict[str, str]:
     return owners
 
 
-class PlanOption(NamedTuple):
-    """A rule instance concluding a goal, read against one agent's ownership."""
-
-    label: str
-    needed: tuple[str, ...]  # resources of the agent's positive plain have/2 preconditions, each once, body order
-    missing: tuple[Literal, ...]  # other preconditions that are not ground facts, each once
-    open_resource: bool  # some have(agent, V) precondition has a variable resource
-
-    @property
-    def grounded(self) -> bool:
-        return not self.missing and not self.open_resource
-
-
 class MediatorPlan(NamedTuple):  # one agent's plan for its goal, as the planner assigns it
     agent: str
     rule_label: str
@@ -738,17 +725,17 @@ class MediatorPlan(NamedTuple):  # one agent's plan for its goal, as the planner
 
 
 def _read(t: Term, fresh: dict[str, Term]) -> Term:
-    """A body term under a head's binding; a variable the head leaves unbound gets its fresh name `V'0`."""
-    return t if type(t) is Constant else fresh.get(t.name) or Variable(f"{t.name}'0")
+    """A body term under a head's binding; a variable the head leaves unbound stays as it is."""
+    return t if type(t) is Constant else fresh.get(t.name, t)
 
 
-def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
-    """Rule instances concluding the goal atom, in declaration order, duplicates dropped.
+def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[tuple[str, tuple[str, ...]]]:
+    """Usable rule instances concluding the goal atom, as (rule label, needed resources) pairs.
 
-    The head is bound to the goal in place (`_bind` with tag 0) and each precondition's terms are
-    read through that binding: a positive plain `have/2` whose first term is the agent gives only
-    its resource, and a literal is built only for another precondition, to look it up as a fact.
-    A repeated precondition counts once. The list is kept in the theory's `options` and returned again.
+    Rules come in declaration order, duplicates dropped. Each precondition is read through the head's
+    binding (`_bind` with tag 0): a positive plain `have/2` whose first term is the agent needs its
+    resource, which must be a constant, and any other precondition must be a ground fact. A rule is
+    left out at its first unusable precondition. The list is kept in the theory's `options`.
     """
     asked, question = theory.options, (agent, goal_atom)
     if question in asked:
@@ -766,38 +753,34 @@ def plan_options(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOpt
             continue
         if s is not EMPTY_SUBSTITUTION:  # a goal variable was bound: read each head variable through it
             fresh = {name: s.resolve(t) for name, t in fresh.items()}
-        needed, missing, open_resource = [], [], False
+        needed: dict[str, None] = {}  # each resource once, in body order
         for b in rule.body:
-            args = b.args
-            plain_have = b.predicate == OWNS and len(args) == 2 and b.positive and b.owner is None
-            if plain_have and _read(args[0], fresh) is me:
-                resource = _read(args[1], fresh)
-                if type(resource) is not Constant:
-                    open_resource = True
-                elif resource.symbol not in needed:
-                    needed.append(resource.symbol)
+            args = tuple([_read(a, fresh) for a in b.args])
+            if b.predicate == OWNS and len(args) == 2 and b.positive and b.owner is None and args[0] is me:
+                if type(args[1]) is not Constant:
+                    break
+                needed[args[1].symbol] = None
                 continue
             owner = b.owner if b.owner is None else _read(b.owner, fresh)
-            p = _new(Literal, (b.predicate, tuple([_read(a, fresh) for a in args]), b.positive, b.modality, owner))
-            if not (p.is_ground() and theory.has_fact(p)) and p not in missing:
-                missing.append(p)
-        out.append(PlanOption(label, tuple(needed), tuple(missing), open_resource))
+            p = _new(Literal, (b.predicate, args, b.positive, b.modality, owner))
+            if not (p.is_ground() and theory.has_fact(p)):
+                break
+        else:
+            out.append((label, tuple(needed)))
     asked[question] = out
     return out
 
 
 def ranked_plans(theory: Theory, agent: str, goal_atom: Literal, met: set[str]) -> list[MediatorPlan]:
-    """The agent's grounded plan options for the goal as plan records, best first.
+    """The agent's usable plan options for the goal as plan records, best first.
 
     A needed resource is unmet when it is not in `met`; fewest unmet ranks first, then label.
     """
     ranked = [
-        MediatorPlan(agent, o.label, o.needed, tuple([r for r in o.needed if r not in met]))
-        for o in plan_options(theory, agent, goal_atom)
-        if o.grounded
+        MediatorPlan(agent, label, needed, tuple([r for r in needed if r not in met]))
+        for label, needed in plan_options(theory, agent, goal_atom)
     ]
-    ranked.sort(key=lambda p: (len(p.unmet), p.rule_label))
-    return ranked
+    return sorted(ranked, key=lambda p: (len(p.unmet), p.rule_label))
 
 
 def select_plan(theory: Theory, agent: str) -> Optional[tuple[str, str, set[str], bool]]:

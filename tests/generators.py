@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
+from hypothesis import strategies as st
+
 from mediatrix.agent import AgentState, Strategy
 from mediatrix.lang import Literal, atom, intends
 from mediatrix.logic import GeneralKind, GeneralRule, Rule, Theory
@@ -15,6 +17,7 @@ from mediatrix.scenario import Scenario
 
 AGENTS = ("a1", "a2")
 MEDIATOR = "m"
+SWAP_AGENTS = {AGENTS[0]: AGENTS[1], AGENTS[1]: AGENTS[0]}  # a name map for `renamed`
 
 GENERAL_ALL = (
     GeneralRule("G.1", GeneralKind.OWNERSHIP),
@@ -88,6 +91,37 @@ def make_scenario(rng: random.Random) -> Scenario:
     return _scenario(f"generated_{rng.randint(0, 10**6)}", owner_of, plans, values, strategies)
 
 
+@st.composite
+def descriptions(draw) -> tuple:
+    """A description of `make_scenario`'s shape, drawn by hypothesis: the same sizes, owners, values and strategies."""
+    resources = [f"r{i}" for i in range(1, draw(st.integers(min_value=1, max_value=5)) + 1)]
+    owner_of = {r: draw(st.sampled_from(AGENTS + (MEDIATOR,))) for r in resources}
+    bodies = st.lists(st.sampled_from(resources), min_size=1, max_size=2, unique=True)
+    plans = {agent: draw(st.lists(bodies, min_size=1, max_size=3)) for agent in AGENTS}
+    values = {r: Fraction(draw(st.integers(min_value=0, max_value=2)), 2) for r, o in owner_of.items() if o != MEDIATOR}
+    strategies = {agent: draw(st.sampled_from([Strategy.EAGER, Strategy.CAUTIOUS])) for agent in AGENTS}
+    return owner_of, plans, values, strategies
+
+
+def renamed(description: tuple, names: dict[str, str]) -> tuple:
+    """The description with each agent id and resource name that `names` maps replaced by its image.
+
+    Only names change: each resource keeps its place in `owner_of` and in its plan body, so an agent's
+    beliefs keep their labels and order. Swapping a1 and a2 hands a1 the holdings, plans and strategy of a2.
+    """
+    owner_of, plans, values, strategies = description
+
+    def name(x: str) -> str:
+        return names.get(x, x)
+
+    return (
+        {name(r): name(o) for r, o in owner_of.items()},
+        {name(a): [[name(r) for r in body] for body in ps] for a, ps in plans.items()},
+        {name(r): v for r, v in values.items()},
+        {name(a): strategy for a, strategy in strategies.items()},
+    )
+
+
 def _scenario(
     name: str,
     owner_of: dict[str, str],
@@ -125,25 +159,25 @@ def _scenario(
     return Scenario(name, tuple(agents), mediator, MediationConfig())
 
 
-def small_scope(n_resources: int) -> Iterator[Scenario]:
+def small_scope(n_resources: int) -> Iterator[tuple[Scenario, Scenario]]:
     """Every scenario of `make_scenario`'s shape over `n_resources` resources, one per symmetry class.
 
     Each resource is held by a1, a2 or m: by an agent at value 0, 1/2 or 1, by m at 0. Each agent is
     eager or cautious and has one plan, or two plans with different bodies in either order; a body
     needs one or two resources, in resource order. A scenario is described by these choices, and of the
     scenarios equal up to swapping a1 and a2 or permuting the resources only the least description is
-    yielded. The descriptions are yielded in increasing order.
+    yielded. The descriptions are yielded in increasing order, each scenario with its twin under swapping
+    a1 and a2, which the mediation need not treat alike.
     """
     holders = [(a, v) for a in AGENTS for v in range(3)] + [(MEDIATOR, 0)]
     bodies = [b for k in (1, 2) for b in itertools.combinations(range(n_resources), k)]
     plans = sorted([(b,) for b in bodies] + list(itertools.permutations(bodies, 2)))
     minds = list(itertools.product(range(2), plans))  # an agent's strategy, as an index, and plans
-    swapped = {AGENTS[0]: AGENTS[1], AGENTS[1]: AGENTS[0], MEDIATOR: MEDIATOR}
 
     def image(held, agents, perm, swap):
         moved = [None] * n_resources
         for i, (owner, v) in enumerate(held):
-            moved[perm[i]] = (swapped[owner] if swap else owner, v)
+            moved[perm[i]] = (SWAP_AGENTS.get(owner, owner) if swap else owner, v)
         agents = [(strategy, tuple(tuple(sorted(perm[i] for i in b)) for b in ps)) for strategy, ps in agents]
         return tuple(moved), tuple(reversed(agents) if swap else agents)
 
@@ -155,10 +189,11 @@ def small_scope(n_resources: int) -> Iterator[Scenario]:
             if any(image(held, agents, *sym) < (held, agents) for sym in symmetries):
                 continue
             n += 1
-            yield _scenario(
-                f"scope{n_resources}_{n}",
+            description = (
                 {r: owner for r, (owner, _) in zip(resources, held)},
                 {a: [[resources[i] for i in b] for b in ps] for a, (_, ps) in zip(AGENTS, agents)},
                 {r: Fraction(v, 2) for r, (_, v) in zip(resources, held)},
                 {a: (Strategy.EAGER, Strategy.CAUTIOUS)[strategy] for a, (strategy, _) in zip(AGENTS, agents)},
             )
+            name = f"scope{n_resources}_{n}"
+            yield _scenario(name, *description), _scenario(f"{name}_swapped", *renamed(description, SWAP_AGENTS))

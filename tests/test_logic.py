@@ -39,7 +39,6 @@ from mediatrix.logic import (
     GeneralRule,
     InconsistentTheory,
     MediatorPlan,
-    PlanOption,
     Proof,
     Rule,
     Theory,
@@ -637,7 +636,7 @@ class TestPlanOptions:
         ]
         theory = Theory(beliefs + [GOAL])
         goal = atom("can", "a", "go")
-        assert [o.needed for o in plan_options(theory, "a", goal)] == [("r",), ("s",)]
+        assert [needed for _, needed in plan_options(theory, "a", goal)] == [("r",), ("s",)]
         # one unmet resource each: d1 ties d2 and wins on label
         assert [(p.rule_label, p.unmet) for p in ranked_plans(theory, "a", goal, set())] == [
             ("d1", ("r",)),
@@ -645,11 +644,11 @@ class TestPlanOptions:
         ]
         assert select_plan(theory, "a")[1] == plan(_agent(beliefs))[1] == "d1"
 
-    def test_duplicated_missing_precondition_is_listed_once(self):
+    def test_a_plan_with_a_repeated_missing_precondition_is_not_listed(self):
         theory = Theory([("d1", rule("d1", atom("can", "X", "go"), atom("tool", "X"), atom("tool", "X"))), GOAL])
-        assert plan_options(theory, "a", atom("can", "a", "go")) == [PlanOption("d1", (), (atom("tool", "a"),), False)]
+        assert plan_options(theory, "a", atom("can", "a", "go")) == []
 
-    def test_missing_precondition_is_unmet_for_the_agent_and_drops_the_plan_for_others(self):
+    def test_a_plan_with_a_missing_precondition_is_not_listed(self):
         beliefs = [
             ("p1", rule("p1", atom("can", "X", "go"), atom("tool", "X"))),
             ("p2", rule("p2", atom("can", "X", "go"), atom("have", "X", "r"))),
@@ -657,11 +656,7 @@ class TestPlanOptions:
         ]
         theory = Theory(beliefs + [GOAL])
         goal = atom("can", "a", "go")
-        options = plan_options(theory, "a", goal)
-        assert [(o.label, o.missing, o.grounded) for o in options] == [
-            ("p1", (atom("tool", "a"),), False),
-            ("p2", (), True),
-        ]
+        assert plan_options(theory, "a", goal) == [("p2", ("r",))]
         assert [p.rule_label for p in ranked_plans(theory, "a", goal, set())] == ["p2"]
         assert select_plan(theory, "a")[1:] == plan(_agent(beliefs))[1:] == ("p2", {"r"}, False)
 
@@ -674,7 +669,7 @@ class TestPlanOptions:
             ]
         )
         renamed = _record_renames(monkeypatch)
-        assert [o.label for o in plan_options(theory, "a", atom("can", "a", "go"))] == ["d1"]
+        assert [label for label, _ in plan_options(theory, "a", atom("can", "a", "go"))] == ["d1"]
         assert renamed == []
 
     def test_rules_for_another_goal_constant_are_not_renamed(self, monkeypatch):
@@ -686,26 +681,28 @@ class TestPlanOptions:
             ]
         )
         renamed = _record_renames(monkeypatch)
-        assert [o.label for o in plan_options(theory, "a", atom("can", "a", "x"))] == ["d2"]
+        assert [label for label, _ in plan_options(theory, "a", atom("can", "a", "x"))] == ["d2"]
         assert renamed == []
 
     def test_a_goal_with_a_variable_is_bound_without_renaming(self, monkeypatch):
         theory = Theory([("d1", rule("d1", atom("can", "Y", "go"), atom("have", "Y", "r")))])
         renamed = _record_renames(monkeypatch)
-        assert plan_options(theory, "a", atom("can", "a", "X")) == [PlanOption("d1", ("r",), (), False)]
+        assert plan_options(theory, "a", atom("can", "a", "X")) == [("d1", ("r",))]
         assert renamed == []
 
-    def test_variable_resource_sets_the_flag(self):
+    def test_a_plan_with_a_variable_resource_is_not_listed(self):
         theory = Theory(
             [("v1", rule("v1", atom("can", "X", "go"), atom("have", "X", "T"), atom("tool", "T"))), GOAL]
         )
-        (option,) = plan_options(theory, "a", atom("can", "a", "go"))
-        assert option.open_resource and option.needed == () and not option.grounded
+        assert plan_options(theory, "a", atom("can", "a", "go")) == []
         assert select_plan(theory, "a") is None
 
 
-def plan_options_by_unification(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
-    """`plan_options` the general way: rename each rule apart, unify its head, apply to the body."""
+def plan_options_by_unification(theory: Theory, agent: str, goal_atom: Literal) -> list[tuple[str, tuple[str, ...]]]:
+    """`plan_options` the general way: rename each rule apart, unify its head, apply to the body.
+
+    Every precondition is read, and a rule is kept when none is unusable.
+    """
     me = Constant(agent)
     out, seen = [], set()
     for label, r in theory.rules:
@@ -717,17 +714,17 @@ def plan_options_by_unification(theory: Theory, agent: str, goal_atom: Literal) 
         s = unify(goal_atom, renamed.head)
         if s is None:
             continue
-        needed, missing, open_resource = [], [], False
+        needed, usable = [], True
         for p in (s.apply(b) for b in renamed.body):
             if shape(p) == HAVE and p.args[0] == me:  # a positive plain have/2 of the agent
                 if isinstance(p.args[1], Constant):
                     needed.append(p.args[1].symbol)
                 else:
-                    open_resource = True
+                    usable = False
             elif not (p.is_ground() and theory.has_fact(p)):
-                missing.append(p)
-        # a repeated precondition counts once, at its first occurrence
-        out.append(PlanOption(label, tuple(dict.fromkeys(needed)), tuple(dict.fromkeys(missing)), open_resource))
+                usable = False
+        if usable:  # a repeated resource counts once, at its first occurrence
+            out.append((label, tuple(dict.fromkeys(needed))))
     return out
 
 
@@ -1213,12 +1210,6 @@ RECORDS = [
         None,
     ),
     (
-        PlanOption("a.2", ("r",), (atom("tool", "X"),), True),
-        "PlanOption(label='a.2', needed=('r',), missing=(Literal(predicate='tool', args=(Variable(name='X'),), "
-        "positive=True, modality=<Modality.NONE: 'plain'>, owner=None),), open_resource=True)",
-        None,
-    ),
-    (
         MediatorPlan("a", "a.2", ("r", "s"), ("s",)),
         "MediatorPlan(agent='a', rule_label='a.2', needed=('r', 's'), unmet=('s',))",
         None,
@@ -1534,8 +1525,11 @@ def test_every_view_of_a_derived_theory_is_the_view_of_its_entries(case, data):
         assert _view_of(theory, "positive_stratum") == saturated
 
 
-def _plan_options_by_instantiation(theory: Theory, agent: str, goal_atom: Literal) -> list[PlanOption]:
-    """`plan_options` the copying way: bind each head with a `_Fresh(0)` map, then build every body literal."""
+def _plan_options_by_instantiation(theory: Theory, agent: str, goal_atom: Literal) -> list[tuple[str, tuple[str, ...]]]:
+    """`plan_options` the copying way: bind each head with a `_Fresh(0)` map, then build every body literal.
+
+    Every precondition is read, and a rule is kept when none is unusable.
+    """
     me = Constant(agent)
     out, seen = [], set()
     for _, label, r in theory.index.heads.get(shape(goal_atom), ()):
@@ -1546,16 +1540,17 @@ def _plan_options_by_instantiation(theory: Theory, agent: str, goal_atom: Litera
         s = logic._bind(r.head, goal_atom, EMPTY_SUBSTITUTION, fresh, 0)
         if s is None:
             continue
-        needed, missing, open_resource = [], [], False
+        needed, usable = [], True
         for p in (s.apply(logic._fresh(b, fresh)) for b in r.body):
             if shape(p) == HAVE and p.args[0] == me:  # a positive plain have/2 of the agent
                 if isinstance(p.args[1], Constant):
                     needed.append(p.args[1].symbol)
                 else:
-                    open_resource = True
+                    usable = False
             elif not (p.is_ground() and theory.has_fact(p)):
-                missing.append(p)
-        out.append(PlanOption(label, tuple(dict.fromkeys(needed)), tuple(dict.fromkeys(missing)), open_resource))
+                usable = False
+        if usable:
+            out.append((label, tuple(dict.fromkeys(needed))))
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import random
 import re
 from dataclasses import fields, is_dataclass, replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediatrix import mediator, parse_scenario
-from mediatrix.agent import Message, MessageKind, RealismViolation, bridge_step
+from mediatrix.agent import Message, MessageKind, RealismViolation, Strategy, bridge_step
 from mediatrix.argumentation import AttackKind, Verdict, construct_argument, evaluate
 from mediatrix.lang import Literal, atom, intends, unify
 from mediatrix.logic import (
@@ -27,6 +28,7 @@ from mediatrix.logic import (
     prove,
 )
 from mediatrix.mediator import IncoherentInput, mediate, revise
+from mediatrix.scenario import Scenario
 from mediatrix.transcript import (
     SCHEMA_VERSION,
     ArgumentRecord,
@@ -45,7 +47,7 @@ from mediatrix.transcript import (
 
 from checkers import delivery_failures, find_attacks, minimality_check
 from conftest import load_scenario
-from generators import AGENTS, MEDIATOR, make_case, make_scenario
+from generators import AGENTS, MEDIATOR, SWAP_AGENTS, _scenario, descriptions, make_case, make_scenario, renamed
 
 CONSTS = ["a", "b", "c"]
 VARS1 = ["X1", "Y1"]
@@ -423,6 +425,35 @@ def test_the_delivery_check_reads_what_the_transcript_claims():
     assert delivery_failures(scenario, json.dumps(claims).encode())[0].endswith(
         "give(mu, alpha, nail) moves a resource mu does not hold"
     )
+
+
+def ending(scenario: Scenario) -> tuple[str, int, bool]:
+    """How the scenario's mediation ends: its status, its round count and whether its transcript's claims hold."""
+    out = mediate(list(scenario.agents), scenario.mediator, scenario.config, scenario.name)
+    return out.status, out.rounds, delivery_failures(scenario, serialize_transcript(out.transcript, "json")) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(descriptions(), st.data())
+def test_renaming_the_resources_changes_no_ending(description, data):
+    # any permutation of the names, not only one that keeps their order
+    resources = list(description[0])
+    names = dict(zip(resources, data.draw(st.permutations(resources))))
+    assert ending(_scenario("named", *description)) == ending(_scenario("renamed", *renamed(description, names)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 10 and 18: the swapped twin is a gap run")
+def test_swapping_the_agents_changes_no_status():
+    # `make_scenario`'s seed 1088. As named, it ends in success in round 2. Swapped, it ends "no new knowledge
+    # and no solution" in round 3, although the planner finds a solution under full disclosure and `certify` is []
+    description = (
+        {"r1": MEDIATOR, "r2": MEDIATOR, "r3": "a2", "r4": "a2", "r5": "a2"},
+        {"a1": [["r3", "r5"]], "a2": [["r1", "r3"], ["r2"], ["r1"]]},
+        dict.fromkeys(["r3", "r4", "r5"], Fraction(1, 2)),
+        {"a1": Strategy.CAUTIOUS, "a2": Strategy.EAGER},
+    )
+    named, swapped = _scenario("named", *description), _scenario("swapped", *renamed(description, SWAP_AGENTS))
+    assert ending(named)[0] == ending(swapped)[0]
 
 
 @st.composite

@@ -59,6 +59,7 @@ def test_scope_counts_reports_the_one_resource_scope():
         "undelivered successes: 0",
         "gap runs: 0",
         "certify diffs: 0",
+        "swap-dependent scenarios: 0",
     ]
     assert lines[-1].startswith("runtime: ") and lines[-1].endswith(" s")
 
